@@ -177,9 +177,10 @@ let run_group ~(name : string) (tests : Test.t list) : unit =
    1024 and the committed BENCH_perf.json reports its speedups at the
    paper's 1024 bits. *)
 
-(* Median of three runs of [iters] calls, where [iters] targets [budget]
-   wall seconds per run (calibrated by one warm-up call); ms/op. *)
-let time_ms ~(budget : float) (f : unit -> unit) : float =
+(* A timer for [f]: each call of the result runs [iters] calls, where
+   [iters] targets [budget] wall seconds (calibrated by one warm-up call),
+   and returns ms/op. *)
+let sampler ~(budget : float) (f : unit -> unit) : unit -> float =
   let once () =
     let t0 = Unix.gettimeofday () in
     f ();
@@ -187,13 +188,37 @@ let time_ms ~(budget : float) (f : unit -> unit) : float =
   in
   let warm = once () in
   let iters = max 1 (min 2000 (int_of_float (budget /. (warm +. 1e-9)))) in
-  let sample () =
+  fun () ->
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do f () done;
     (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int iters
+
+let median (xs : float list) : float =
+  List.nth (List.sort compare xs) (List.length xs / 2)
+
+(* Median of three samples; ms/op. *)
+let time_ms ~(budget : float) (f : unit -> unit) : float =
+  let sample = sampler ~budget f in
+  median [ sample (); sample (); sample () ]
+
+(* The two sides of a speedup, timed in nine alternating rounds of a third
+   of [budget] each: each side's median ms/op, and the median of the
+   per-round ratios [slow / fast].  The host's speed can change twofold
+   for seconds at a time (a shared VM), so two rows timed one after the
+   other can land on different speeds; a round's two samples are taken
+   back to back and nearly always see the same one. *)
+let time_pair_ms ~(budget : float) (slow : unit -> unit) (fast : unit -> unit)
+    : float * float * float =
+  let budget = budget /. 3.0 in
+  let sample_slow = sampler ~budget slow and sample_fast = sampler ~budget fast in
+  let rounds =
+    List.init 9 (fun _ ->
+      let a = sample_slow () in
+      (a, sample_fast ()))
   in
-  let samples = List.sort compare [ sample (); sample (); sample () ] in
-  List.nth samples 1
+  ( median (List.map fst rounds),
+    median (List.map snd rounds),
+    median (List.map (fun (a, b) -> a /. b) rounds) )
 
 let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
   let open Bignum in
@@ -211,35 +236,43 @@ let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
     let d = Hashes.Drbg.fork drbg (Printf.sprintf "perf%d" pbits) in
     let rb = Hashes.Drbg.random_bytes d in
     Printf.printf "--- %d-bit modulus ---\n" pbits;
-    let bench name f =
-      let ms = time_ms ~budget f in
+    let record name ms =
       results := (name, pbits, ms) :: !results;
-      Printf.printf "  %-32s %12.4f ms/op\n%!" name ms;
-      ms
+      Printf.printf "  %-32s %12.4f ms/op\n%!" name ms
+    in
+    let bench name f = record name (time_ms ~budget f) in
+    (* Rows [slow_name] and [fast_name]; returns the speedup slow/fast. *)
+    let bench_pair slow_name slow fast_name fast =
+      let slow_ms, fast_ms, ratio = time_pair_ms ~budget slow fast in
+      record slow_name slow_ms;
+      record fast_name fast_ms;
+      ratio
     in
     (* modular exponentiation: Barrett reference vs the Montgomery default *)
     let m = Nat.add (Nat.random_bits ~random_bytes:rb pbits) Nat.one in
     let m = if Nat.testbit m 0 then m else Nat.add m Nat.one in
     let base = Nat.rem (Nat.random_bits ~random_bytes:rb pbits) m in
     let e_full = Nat.random_bits ~random_bytes:rb pbits in
-    let plain =
-      bench "powmod-barrett" (fun () -> ignore (Nat.powmod_barrett base e_full m))
+    let montgomery =
+      bench_pair "powmod-barrett" (fun () -> ignore (Nat.powmod_barrett base e_full m))
+        "powmod-montgomery" (fun () -> ignore (Nat.powmod base e_full m))
     in
-    let mont = bench "powmod-montgomery" (fun () -> ignore (Nat.powmod base e_full m)) in
     (* simultaneous double exponentiation vs two separate exponentiations,
        at the group-order exponent width of every DLEQ verification *)
     let b2 = Nat.rem (Nat.random_bits ~random_bytes:rb pbits) m in
     let e1 = Nat.random_bits ~random_bytes:rb qbits in
     let e2 = Nat.random_bits ~random_bytes:rb qbits in
-    let two =
-      bench "two-powmods" (fun () ->
+    let multi_exp =
+      bench_pair "two-powmods" (fun () ->
         ignore (Nat.rem (Nat.mul (Nat.powmod base e1 m) (Nat.powmod b2 e2 m)) m))
+        "powmod2" (fun () -> ignore (Nat.powmod2 base e1 b2 e2 m))
     in
-    let multi = bench "powmod2" (fun () -> ignore (Nat.powmod2 base e1 b2 e2 m)) in
     (* fixed-base window table vs plain powmod, same base and width *)
     let tbl = Nat.Fixed_base.create ~base ~modulus:m ~max_bits:qbits in
-    let single = bench "powmod-160bit" (fun () -> ignore (Nat.powmod base e1 m)) in
-    let fixed = bench "fixed-base-160bit" (fun () -> ignore (Nat.Fixed_base.pow tbl e1)) in
+    let fixed_base =
+      bench_pair "powmod-160bit" (fun () -> ignore (Nat.powmod base e1 m))
+        "fixed-base-160bit" (fun () -> ignore (Nat.Fixed_base.pow tbl e1))
+    in
     (* DLEQ verification: the hot path of coin and decryption shares *)
     let grp = Crypto.Group.generate ~drbg:d ~pbits ~qbits in
     let x = Crypto.Group.random_exponent grp ~drbg:d in
@@ -250,14 +283,12 @@ let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
     let proof =
       Crypto.Dleq.prove grp ~drbg:d ~ctx:"perf" ~g1:grp.Crypto.Group.g ~h1 ~g2 ~h2 ~x
     in
-    let dleq_ref =
-      bench "dleq-verify-reference" (fun () ->
+    let dleq_verify =
+      bench_pair "dleq-verify-reference" (fun () ->
         ignore
           (Crypto.Dleq.verify_reference grp ~ctx:"perf" ~g1:grp.Crypto.Group.g ~h1 ~g2
              ~h2 proof))
-    in
-    let dleq_fast =
-      bench "dleq-verify-fast" (fun () ->
+        "dleq-verify-fast" (fun () ->
         ignore
           (Crypto.Dleq.verify grp ~ctx:"perf" ~h1_tbl ~g1:grp.Crypto.Group.g ~h1 ~g2 ~h2
            proof))
@@ -280,20 +311,18 @@ let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
             tkeys.Crypto.Threshold_sig.shares.(i) ~ctx:"perf" "message")
         [ 0; 1; 2 ]
     in
-    let _ =
+    let () =
       bench "tsig-verify-share" (fun () ->
         ignore
           (Crypto.Threshold_sig.verify_share tpub ~ctx:"perf" "message"
              (List.hd tshares)))
     in
-    let tsig_ref =
-      bench "tsig-verify-share-reference" (fun () ->
+    let tsig_batch =
+      bench_pair "tsig-verify-share-reference" (fun () ->
         ignore
           (Crypto.Threshold_sig.verify_share_reference tpub ~ctx:"perf" "message"
              (List.hd tshares)))
-    in
-    let tsig_batch =
-      bench "tsig-batch-verify-k3" (fun () ->
+        "tsig-batch-verify-k3" (fun () ->
         match Crypto.Batch.tsig_shares tpub ~ctx:"perf" "message" tshares with
         | Crypto.Batch.All_valid -> ()
         | Crypto.Batch.Invalid _ -> failwith "perf: honest tsig batch rejected")
@@ -311,18 +340,16 @@ let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
             ckeys.Crypto.Threshold_coin.shares.(i) ~name:"perf-coin")
         [ 0; 1; 2 ]
     in
-    let _ =
+    let () =
       bench "coin-verify-share" (fun () ->
         ignore (Crypto.Threshold_coin.verify_share cpub ~name:"perf-coin" (List.hd cshares)))
     in
-    let coin_ref =
-      bench "coin-verify-share-reference" (fun () ->
+    let coin_batch =
+      bench_pair "coin-verify-share-reference" (fun () ->
         ignore
           (Crypto.Threshold_coin.verify_share_reference cpub ~name:"perf-coin"
              (List.hd cshares)))
-    in
-    let coin_batch =
-      bench "coin-batch-verify-k3" (fun () ->
+        "coin-batch-verify-k3" (fun () ->
         match Crypto.Batch.coin_shares cpub ~name:"perf-coin" cshares with
         | Crypto.Batch.All_valid -> ()
         | Crypto.Batch.Invalid _ -> failwith "perf: honest coin batch rejected")
@@ -331,12 +358,12 @@ let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
        report therefore quotes them at the paper's 1024 bits). *)
     speedup_bits := pbits;
     speedups :=
-      [ ("montgomery", plain /. mont);
-        ("multi_exp", two /. multi);
-        ("fixed_base", single /. fixed);
-        ("dleq_verify", dleq_ref /. dleq_fast);
-        ("tsig_batch_verify", 3.0 *. tsig_ref /. tsig_batch);
-        ("coin_batch_verify", 3.0 *. coin_ref /. coin_batch) ];
+      [ ("montgomery", montgomery);
+        ("multi_exp", multi_exp);
+        ("fixed_base", fixed_base);
+        ("dleq_verify", dleq_verify);
+        ("tsig_batch_verify", 3.0 *. tsig_batch);
+        ("coin_batch_verify", 3.0 *. coin_batch) ];
     print_newline ()
   in
   List.iter run_at sizes;

@@ -313,21 +313,65 @@ module Barrett = struct
     end
 end
 
+(* Bits [pos, pos + n) of [a] as an int, for n < limb_bits: one window
+   digit of an exponent, read from at most two limbs. *)
+let bits_at (a : t) (pos : int) (n : int) : int =
+  let limb = pos / limb_bits and off = pos mod limb_bits in
+  let la = Array.length a in
+  let lo = if limb < la then a.(limb) lsr off else 0 in
+  let hi = if limb + 1 < la then a.(limb + 1) lsl (limb_bits - off) else 0 in
+  (lo lor hi) land ((1 lsl n) - 1)
+
+(* Window width for an [ebits]-bit exponent: 4-bit fixed windows, or
+   plain square-and-multiply up to 64 bits, where the 15-entry table would
+   not amortize. *)
+let window_bits ebits = if ebits <= 64 then 1 else 4
+
+(* Modular exponentiation over Barrett reduction: the pre-Montgomery path,
+   kept as the reference for equivalence tests and benchmarks, and the path
+   for even moduli. *)
+let powmod_barrett (base : t) (e : t) (m : t) : t =
+  if is_zero m then raise Division_by_zero;
+  if equal m one then zero
+  else if is_zero e then one
+  else begin
+    let ctx = Barrett.create m in
+    let mulm a b = Barrett.reduce ctx (mul a b) in
+    let base = rem base m in
+    let ebits = numbits e in
+    let wb = window_bits ebits in
+    let tbl = Array.make (1 lsl wb) base in
+    for d = 2 to (1 lsl wb) - 1 do tbl.(d) <- mulm tbl.(d - 1) base done;
+    let nwin = (ebits + wb - 1) / wb in
+    let r = ref tbl.(bits_at e (wb * (nwin - 1)) wb) in
+    for win = nwin - 2 downto 0 do
+      for _ = 1 to wb do r := mulm !r !r done;
+      let d = bits_at e (wb * win) wb in
+      if d <> 0 then r := mulm !r tbl.(d)
+    done;
+    !r
+  end
+
 (* Montgomery representation (HAC 14.32/14.36): for an odd modulus m of k
    limbs, let R = base^k.  A residue x is stored as xR mod m; the product of
    two stored residues is recovered by REDC, which replaces the division by m
-   with k limb-sized multiply-accumulate sweeps (one per limb of the input),
-   each chosen so that the low limb cancels.  REDC(T) = T * R^-1 mod m for
-   any T < mR, at the cost of a schoolbook k x k multiply — no quotient
-   estimation at all.  This beats Barrett by a constant factor on every
-   multiplication inside an exponentiation, which is where almost all of
-   SINTRA's CPU time goes. *)
+   with k limb-sized multiply-accumulate sweeps, each chosen so that the low
+   limb cancels.  With no quotient estimation at all it beats Barrett on
+   every multiplication inside an exponentiation, which is where almost all
+   of SINTRA's CPU time goes.
+
+   The kernel works in place: inside an exponentiation every residue is a
+   fixed-width k-limb buffer and one k+1-limb scratch buffer [w] takes
+   every product, so the chain allocates nothing.  Each step is one limb
+   product plus at most two limb carries: at most (2^31-1)^2 + 2(2^31-1)
+   = 2^62 - 1, the largest non-negative OCaml [int]. *)
 module Montgomery = struct
   type ctx = {
     m : t;            (* odd modulus, exactly k limbs *)
     k : int;
     m_prime : int;    (* -m^-1 mod 2^limb_bits *)
-    r2 : t;           (* R^2 mod m, for entering the representation *)
+    r2 : int array;   (* R^2 mod m, k limbs wide: the full-width multiplier
+                         that brings a value into the representation *)
     one_m : t;        (* R mod m = the representation of 1 *)
   }
 
@@ -342,245 +386,213 @@ module Montgomery = struct
     done;
     !x
 
-  (* REDC on T < m*R: add multiples of m so the low k limbs vanish, then
-     drop them.  The result is < 2m, so one conditional subtract finishes. *)
-  let redc (ctx : ctx) (x : t) : t =
-    let k = ctx.k in
-    let mm = ctx.m in
-    let t = Array.make ((2 * k) + 1) 0 in
-    Array.blit x 0 t 0 (Array.length x);
+  (* w.(0..k) <- a * b * R^-1, which is < 2m, for a, b < m (CIOS, HAC
+     14.36): per limb b_i, accumulate a * b_i, add the multiple u * m that
+     cancels the low limb, and shift down one limb — multiply and reduce
+     fused into one sweep with two carries.  [b] may be short; a short [a]
+     (only from the single public operations) is padded first. *)
+  let mul_acc (c : ctx) (w : int array) (a : int array) (b : int array) : unit =
+    let k = c.k and m = c.m and mp = c.m_prime in
+    let la = Array.length a and lb = Array.length b in
+    let a = if la = k then a else Array.append a (Array.make (k - la) 0) in
+    Array.fill w 0 (k + 1) 0;
     for i = 0 to k - 1 do
-      let u = (t.(i) * ctx.m_prime) land limb_mask in
-      if u <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to k - 1 do
-          let p = t.(i + j) + (u * mm.(j)) + !carry in
-          t.(i + j) <- p land limb_mask;
-          carry := p lsr limb_bits
-        done;
-        let idx = ref (i + k) in
-        while !carry <> 0 do
-          let p = t.(!idx) + !carry in
-          t.(!idx) <- p land limb_mask;
-          carry := p lsr limb_bits;
-          incr idx
-        done
-      end
-    done;
-    let r = normalize (Array.sub t k (k + 1)) in
-    if compare r ctx.m >= 0 then sub r ctx.m else r
+      let bi = if i < lb then b.(i) else 0 in
+      let s = w.(0) + (a.(0) * bi) in
+      let lo = s land limb_mask in
+      let u = (lo * mp) land limb_mask in
+      let c1 = ref (s lsr limb_bits) in
+      let c2 = ref ((lo + (u * m.(0))) lsr limb_bits) in
+      for j = 1 to k - 1 do
+        let s = w.(j) + (a.(j) * bi) + !c1 in
+        c1 := s lsr limb_bits;
+        let s = (s land limb_mask) + (u * m.(j)) + !c2 in
+        c2 := s lsr limb_bits;
+        w.(j - 1) <- s land limb_mask
+      done;
+      let s = w.(k) + !c1 + !c2 in
+      w.(k - 1) <- s land limb_mask;
+      w.(k) <- s lsr limb_bits
+    done
+
+  (* dst.(0..k-1) <- w.(0..k) mod m, given that value is < 2m: one
+     conditional subtract.  dst may be w itself (reads never trail writes). *)
+  let finish (c : ctx) (w : int array) (dst : int array) : unit =
+    let k = c.k and m = c.m in
+    let i = ref (k - 1) in
+    while !i >= 0 && w.(!i) = m.(!i) do decr i done;
+    if w.(k) <> 0 || !i < 0 || w.(!i) > m.(!i) then begin
+      let borrow = ref 0 in
+      for j = 0 to k - 1 do
+        let d = w.(j) - m.(j) + !borrow in
+        dst.(j) <- d land limb_mask;
+        borrow := d asr limb_bits
+      done
+    end
+    else Array.blit w 0 dst 0 k
+
+  (* [dst] may alias [a] or [b]: the product lands in [w] first. *)
+  let mul_into c w dst a b = mul_acc c w a b; finish c w dst
+  let sqr_into c w dst a = mul_into c w dst a a
+
+  let scratch (c : ctx) : int array = Array.make (c.k + 1) 0
+  let residue (c : ctx) : int array = Array.make c.k 0
+
+  (* The normalized value of the low [n] limbs of [a]: the one fresh
+     array on every exit from the kernel. *)
+  let to_nat (a : int array) (n : int) : t =
+    let n = ref n in
+    while !n > 0 && a.(!n - 1) = 0 do decr n done;
+    Array.sub a 0 !n
 
   let create (m : t) : ctx =
     if is_zero m then raise Division_by_zero;
     if not (testbit m 0) then invalid_arg "Nat.Montgomery.create: even modulus";
     let k = num_limbs m in
     let r2 = rem (shift_limbs one (2 * k)) m in
-    let ctx = { m; k; m_prime = (limb_base - inv_limb m.(0)) land limb_mask; r2; one_m = zero } in
-    { ctx with one_m = redc ctx r2 }
+    let r2 = Array.append r2 (Array.make (k - num_limbs r2) 0) in
+    let c = { m; k; m_prime = (limb_base - inv_limb m.(0)) land limb_mask; r2; one_m = zero } in
+    let w = scratch c in
+    mul_into c w w r2 one;
+    { c with one_m = to_nat w k }
+
+  (* Public single operations: one scratch buffer plus the result. *)
+  let run (c : ctx) (f : int array -> unit) : t =
+    let w = scratch c in
+    f w;
+    to_nat w c.k
 
   (* [to_mont ctx x] requires x < m (callers reduce first). *)
-  let to_mont (ctx : ctx) (x : t) : t = redc ctx (mul x ctx.r2)
-  let of_mont (ctx : ctx) (x : t) : t = redc ctx x
-  let mul (ctx : ctx) (a : t) (b : t) : t = redc ctx (mul a b)
-  let sqr (ctx : ctx) (a : t) : t = redc ctx (sqr a)
-  let one_m (ctx : ctx) : t = ctx.one_m
+  let to_mont (c : ctx) (x : t) : t = run c (fun w -> mul_into c w w c.r2 x)
+  let of_mont (c : ctx) (x : t) : t = run c (fun w -> mul_into c w w x one)
+  let mul (c : ctx) (a : t) (b : t) : t = run c (fun w -> mul_into c w w a b)
+  let sqr (c : ctx) (a : t) : t = run c (fun w -> sqr_into c w w a)
+  let one_m (c : ctx) : t = c.one_m
+
+  let is_unit_modulus (c : ctx) : bool = c.k = 1 && c.m.(0) = 1
+
+  (* A fresh fixed-width residue for [x] reduced mod m. *)
+  let enter (c : ctx) (w : int array) (x : t) : int array =
+    let x = if compare x c.m < 0 then x else rem x c.m in
+    let r = residue c in
+    mul_into c w r c.r2 x;
+    r
+
+  let leave (c : ctx) (w : int array) (r : int array) : t =
+    mul_into c w w r one;
+    to_nat w c.k
+
+  (* The chain starts from the top digit's table entry, not from 1. *)
+  let powmod (c : ctx) (base : t) (e : t) : t =
+    if is_unit_modulus c then zero
+    else if is_zero e then one
+    else begin
+      let w = scratch c in
+      let ebits = numbits e in
+      let wb = window_bits ebits in
+      (* tbl.(d) = base^d; entry 0 is never read. *)
+      let tbl = Array.make (1 lsl wb) (enter c w base) in
+      for d = 2 to (1 lsl wb) - 1 do
+        let x = residue c in
+        mul_into c w x tbl.(d - 1) tbl.(1);
+        tbl.(d) <- x
+      done;
+      let nwin = (ebits + wb - 1) / wb in
+      let r = Array.copy tbl.(bits_at e (wb * (nwin - 1)) wb) in
+      for win = nwin - 2 downto 0 do
+        for _ = 1 to wb do sqr_into c w r r done;
+        let d = bits_at e (wb * win) wb in
+        if d <> 0 then mul_into c w r r tbl.(d)
+      done;
+      leave c w r
+    end
+
+  (* tbl.((i lsl 2) lor j) = b1^i * b2^j for 2-bit digits i, j (entry 0 is
+     never read); without [b2] only the single-base row 4, 8, 12. *)
+  let pair_table (c : ctx) (w : int array) (b1 : int array) (b2 : int array option) =
+    let tbl = Array.make 16 b1 in
+    let powers step b =
+      let b2 = residue c and b3 = residue c in
+      sqr_into c w b2 b;
+      mul_into c w b3 b2 b;
+      tbl.(step) <- b;
+      tbl.(2 * step) <- b2;
+      tbl.(3 * step) <- b3
+    in
+    powers 4 b1;
+    (match b2 with
+     | None -> ()
+     | Some b2 ->
+       powers 1 b2;
+       for i = 1 to 3 do
+         for j = 1 to 3 do
+           let x = residue c in
+           mul_into c w x tbl.(i lsl 2) tbl.(j);
+           tbl.((i lsl 2) lor j) <- x
+         done
+       done);
+    tbl
+
+  (* k-way simultaneous exponentiation: the bases paired into blocks of
+     two, each block with its 16-entry digit-pair table, and all blocks
+     sharing one squaring chain over the longest exponent.  With k = 2
+     this is Shamir's trick (HAC 14.88) with 2-bit interleaved windows. *)
+  let powmod_multi (c : ctx) (pairs : (t * t) list) : t =
+    if is_unit_modulus c then zero
+    else
+      match List.filter (fun (_, e) -> not (is_zero e)) pairs with
+      | [] -> one
+      | [ (b, e) ] -> powmod c b e
+      | pairs ->
+        let w = scratch c in
+        let pairs = Array.of_list pairs in
+        let k = Array.length pairs in
+        let nblocks = (k + 1) / 2 in
+        let tbls =
+          Array.init nblocks (fun blk ->
+            let b1 = enter c w (fst pairs.(2 * blk)) in
+            let b2 =
+              if (2 * blk) + 1 < k then Some (enter c w (fst pairs.((2 * blk) + 1)))
+              else None
+            in
+            pair_table c w b1 b2)
+        in
+        let nbits = Array.fold_left (fun acc (_, e) -> max acc (numbits e)) 0 pairs in
+        let r = residue c in
+        Array.blit c.one_m 0 r 0 (Array.length c.one_m);
+        for win = ((nbits + 1) / 2) - 1 downto 0 do
+          sqr_into c w r r;
+          sqr_into c w r r;
+          for blk = 0 to nblocks - 1 do
+            let d1 = bits_at (snd pairs.(2 * blk)) (2 * win) 2 in
+            let d2 =
+              if (2 * blk) + 1 < k then bits_at (snd pairs.((2 * blk) + 1)) (2 * win) 2
+              else 0
+            in
+            let d = (d1 lsl 2) lor d2 in
+            if d <> 0 then mul_into c w r r tbls.(blk).(d)
+          done
+        done;
+        leave c w r
 end
 
-(* A modular-arithmetic "domain": multiplication/squaring with the reduction
-   strategy chosen once per modulus, plus entry/exit conversions.  Odd moduli
-   get Montgomery form; even moduli (only RSA-free test vectors — every group
-   and RSA modulus in SINTRA is odd) keep the Barrett path.  [enter] requires
-   its argument already reduced below the modulus. *)
-type domain = {
-  one_d : t;
-  muld : t -> t -> t;
-  sqrd : t -> t;
-  enter : t -> t;
-  leave : t -> t;
-}
-
-let barrett_domain (m : t) : domain =
-  let ctx = Barrett.create m in
-  let red x = Barrett.reduce ctx x in
-  { one_d = rem one m;
-    muld = (fun a b -> red (mul a b));
-    sqrd = (fun a -> red (sqr a));
-    enter = (fun x -> x);
-    leave = (fun x -> x) }
-
-let mod_domain (m : t) : domain =
-  if testbit m 0 then begin
-    let ctx = Montgomery.create m in
-    { one_d = Montgomery.one_m ctx;
-      muld = Montgomery.mul ctx;
-      sqrd = Montgomery.sqr ctx;
-      enter = Montgomery.to_mont ctx;
-      leave = Montgomery.of_mont ctx }
-  end
-  else barrett_domain m
-
-(* Fixed-window exponentiation over an abstract domain: 4-bit windows above
-   64 exponent bits, plain square-and-multiply below (where the 15-entry
-   table would not amortize).  [base_d] is already in the domain. *)
-let powmod_gen (dom : domain) (base_d : t) (e : t) : t =
-  let ebits = numbits e in
-  let window = if ebits <= 64 then 1 else 4 in
-  if window = 1 then begin
-    let r = ref dom.one_d in
-    for i = ebits - 1 downto 0 do
-      r := dom.sqrd !r;
-      if testbit e i then r := dom.muld !r base_d
-    done;
-    !r
-  end
-  else begin
-    (* Precompute base^0 .. base^15. *)
-    let tbl = Array.make 16 dom.one_d in
-    for i = 1 to 15 do tbl.(i) <- dom.muld tbl.(i - 1) base_d done;
-    let nwin = (ebits + window - 1) / window in
-    let r = ref dom.one_d in
-    for w = nwin - 1 downto 0 do
-      for _ = 1 to window do r := dom.sqrd !r done;
-      let d = ref 0 in
-      for b = window - 1 downto 0 do
-        let bit = if testbit e ((w * window) + b) then 1 else 0 in
-        d := (!d lsl 1) lor bit
-      done;
-      if !d <> 0 then r := dom.muld !r tbl.(!d)
-    done;
-    !r
-  end
-
-let powmod_in (dom_of_m : t -> domain) (base : t) (e : t) (m : t) : t =
-  if is_zero m then raise Division_by_zero;
-  if equal m one then zero
-  else if is_zero e then one
-  else begin
-    let dom = dom_of_m m in
-    dom.leave (powmod_gen dom (dom.enter (rem base m)) e)
-  end
-
-(* Modular exponentiation: 4-bit fixed windows over Montgomery
-   multiplication for odd moduli, Barrett reduction otherwise. *)
-let powmod (base : t) (e : t) (m : t) : t = powmod_in mod_domain base e m
-
-(* The pre-Montgomery reference path, kept callable for equivalence tests
-   and for benchmarking the fast path against it. *)
-let powmod_barrett (base : t) (e : t) (m : t) : t = powmod_in barrett_domain base e m
-
-(* Simultaneous double exponentiation b1^e1 * b2^e2 mod m by 2-bit
-   interleaved windows (Shamir's trick, HAC 14.88 generalized): one shared
-   squaring chain for both exponents, with a 16-entry table over the digit
-   pairs.  Per 2 exponent bits: 2 squarings + at most one multiply, versus
-   2 squarings + ~2.5 multiplies for two separate windowed exponentiations
-   — about 1.9x faster on the DLEQ verification shape where both exponents
-   are full group-order size. *)
-let powmod2 (b1 : t) (e1 : t) (b2 : t) (e2 : t) (m : t) : t =
-  if is_zero m then raise Division_by_zero;
-  if equal m one then zero
-  else if is_zero e1 then powmod b2 e2 m
-  else if is_zero e2 then powmod b1 e1 m
-  else begin
-    let dom = mod_domain m in
-    let b1 = dom.enter (rem b1 m) and b2 = dom.enter (rem b2 m) in
-    (* tbl.((i lsl 2) lor j) = b1^i * b2^j for digits i, j in 0..3. *)
-    let tbl = Array.make 16 dom.one_d in
-    tbl.(4) <- b1;
-    tbl.(8) <- dom.sqrd b1;
-    tbl.(12) <- dom.muld tbl.(8) b1;
-    tbl.(1) <- b2;
-    tbl.(2) <- dom.sqrd b2;
-    tbl.(3) <- dom.muld tbl.(2) b2;
-    for i = 1 to 3 do
-      for j = 1 to 3 do
-        tbl.((i lsl 2) lor j) <- dom.muld tbl.(i lsl 2) tbl.(j)
-      done
-    done;
-    let nbits = max (numbits e1) (numbits e2) in
-    let nwin = (nbits + 1) / 2 in
-    let bit e i = if testbit e i then 1 else 0 in
-    let r = ref dom.one_d in
-    for w = nwin - 1 downto 0 do
-      r := dom.sqrd !r;
-      r := dom.sqrd !r;
-      let hi = (2 * w) + 1 and lo = 2 * w in
-      let d1 = (bit e1 hi lsl 1) lor bit e1 lo in
-      let d2 = (bit e2 hi lsl 1) lor bit e2 lo in
-      let d = (d1 lsl 2) lor d2 in
-      if d <> 0 then r := dom.muld !r tbl.(d)
-    done;
-    dom.leave !r
-  end
-
-(* k-way simultaneous multi-exponentiation, generalizing powmod2: the bases
-   are paired into blocks of two, each block carrying the same 16-entry
-   2-bit digit-pair table powmod2 uses, and all blocks share one squaring
-   chain over the longest exponent.  Per 2 exponent bits: 2 squarings plus
-   at most one multiply per block — so the marginal cost of each further
-   base is ~e/4 multiplies against ~1.5e for a separate powmod. *)
+(* The one-shot forms build the modulus's context per call: Montgomery for
+   odd moduli, Barrett for even ones (only test vectors — every group and
+   RSA modulus in SINTRA is odd).  Long-lived moduli keep their
+   [Montgomery.ctx] in the key record instead. *)
 let powmod_multi (pairs : (t * t) list) (m : t) : t =
   if is_zero m then raise Division_by_zero;
-  if equal m one then zero
-  else begin
-    let pairs = List.filter (fun (_, e) -> not (is_zero e)) pairs in
-    match pairs with
-    | [] -> one
-    | [ (b, e) ] -> powmod b e m
-    | [ (b1, e1); (b2, e2) ] -> powmod2 b1 e1 b2 e2 m
-    | pairs ->
-      let dom = mod_domain m in
-      let bases =
-        Array.of_list (List.map (fun (b, _) -> dom.enter (rem b m)) pairs)
-      in
-      let exps = Array.of_list (List.map snd pairs) in
-      let k = Array.length bases in
-      let nblocks = (k + 1) / 2 in
-      (* tbls.(blk).((i lsl 2) lor j) = b_{2blk}^i * b_{2blk+1}^j for digit
-         pair (i, j); a trailing odd base gets a 4-entry single-base row. *)
-      let tbls =
-        Array.init nblocks (fun blk ->
-          let b1 = bases.(2 * blk) in
-          let tbl = Array.make 16 dom.one_d in
-          tbl.(4) <- b1;
-          tbl.(8) <- dom.sqrd b1;
-          tbl.(12) <- dom.muld tbl.(8) b1;
-          if (2 * blk) + 1 < k then begin
-            let b2 = bases.((2 * blk) + 1) in
-            tbl.(1) <- b2;
-            tbl.(2) <- dom.sqrd b2;
-            tbl.(3) <- dom.muld tbl.(2) b2;
-            for i = 1 to 3 do
-              for j = 1 to 3 do
-                tbl.((i lsl 2) lor j) <- dom.muld tbl.(i lsl 2) tbl.(j)
-              done
-            done
-          end;
-          tbl)
-      in
-      let nbits = Array.fold_left (fun acc e -> max acc (numbits e)) 0 exps in
-      let nwin = (nbits + 1) / 2 in
-      let bit e i = if testbit e i then 1 else 0 in
-      let r = ref dom.one_d in
-      for w = nwin - 1 downto 0 do
-        r := dom.sqrd !r;
-        r := dom.sqrd !r;
-        let hi = (2 * w) + 1 and lo = 2 * w in
-        for blk = 0 to nblocks - 1 do
-          let e1 = exps.(2 * blk) in
-          let d1 = (bit e1 hi lsl 1) lor bit e1 lo in
-          let d2 =
-            if (2 * blk) + 1 < k then begin
-              let e2 = exps.((2 * blk) + 1) in
-              (bit e2 hi lsl 1) lor bit e2 lo
-            end
-            else 0
-          in
-          let d = (d1 lsl 2) lor d2 in
-          if d <> 0 then r := dom.muld !r tbls.(blk).(d)
-        done
-      done;
-      dom.leave !r
-  end
+  if testbit m 0 then Montgomery.powmod_multi (Montgomery.create m) pairs
+  else
+    List.fold_left (fun acc (b, e) -> rem (mul acc (powmod_barrett b e m)) m) one pairs
+
+let powmod (base : t) (e : t) (m : t) : t =
+  if is_zero m then raise Division_by_zero;
+  if testbit m 0 then Montgomery.powmod (Montgomery.create m) base e
+  else powmod_barrett base e m
+
+let powmod2 (b1 : t) (e1 : t) (b2 : t) (e2 : t) (m : t) : t =
+  powmod_multi [ (b1, e1); (b2, e2) ] m
 
 (* Fixed-base precomputation (BGMW/HAC 14.109 with full per-block tables):
    for a base reused across many exponentiations — the group generator, a
@@ -588,85 +600,105 @@ let powmod_multi (pairs : (t * t) list) (m : t) : t =
    4-bit digit position i below [max_bits] and every digit d in 1..15.  An
    exponentiation then multiplies one table entry per non-zero digit: no
    squarings at all, ~max_bits/4 multiplies instead of ~1.5 * max_bits, a
-   ~6x reduction once the table is amortized.  Entries are stored in the
-   modulus's domain (Montgomery form for odd moduli). *)
+   ~6x reduction once the table is amortized.  Entries are fixed-width
+   Montgomery residues; an even modulus gets no table and every power
+   takes {!powmod_barrett}. *)
 module Fixed_base = struct
   let window = 4
 
   type ctx = {
-    base : t;           (* original base, for the oversized-exponent fallback *)
+    base : t;           (* original base, for the fallbacks *)
     modulus : t;
     max_bits : int;
-    dom : domain;
-    tbl : t array array;  (* tbl.(i).(d-1) = base^(d * 16^i), in-domain *)
+    mont : Montgomery.ctx option;  (* None for an even modulus *)
+    tbl : int array array array;   (* tbl.(i).(d-1) = base^(d * 16^i) *)
   }
 
   let create ~(base : t) ~(modulus : t) ~(max_bits : int) : ctx =
     if is_zero modulus then raise Division_by_zero;
     if max_bits <= 0 then invalid_arg "Nat.Fixed_base.create: max_bits must be positive";
-    let dom = mod_domain modulus in
-    let nblocks = (max_bits + window - 1) / window in
-    let tbl = Array.init nblocks (fun _ -> Array.make 15 dom.one_d) in
-    let cur = ref (dom.enter (rem base modulus)) in
-    for i = 0 to nblocks - 1 do
-      let row = tbl.(i) in
-      row.(0) <- !cur;
-      for d = 1 to 14 do row.(d) <- dom.muld row.(d - 1) !cur done;
-      (* base^(16^(i+1)) = row.(14) * cur = base^(15 * 16^i) * base^(16^i) *)
-      if i < nblocks - 1 then cur := dom.muld row.(14) !cur
-    done;
-    { base; modulus; max_bits; dom; tbl }
+    if not (testbit modulus 0) then { base; modulus; max_bits; mont = None; tbl = [||] }
+    else begin
+      let c = Montgomery.create modulus in
+      let w = Montgomery.scratch c in
+      let nblocks = (max_bits + window - 1) / window in
+      let cur = ref (Montgomery.enter c w base) in
+      let tbl =
+        Array.init nblocks (fun i ->
+          let row = Array.make 15 !cur in
+          for d = 1 to 14 do
+            let x = Montgomery.residue c in
+            Montgomery.mul_into c w x row.(d - 1) !cur;
+            row.(d) <- x
+          done;
+          (* base^(16^(i+1)) = base^(15 * 16^i) * base^(16^i) *)
+          if i < nblocks - 1 then begin
+            let x = Montgomery.residue c in
+            Montgomery.mul_into c w x row.(14) !cur;
+            cur := x
+          end;
+          row)
+      in
+      { base; modulus; max_bits; mont = Some c; tbl }
+    end
 
   let max_bits (ctx : ctx) : int = ctx.max_bits
 
   let pow (ctx : ctx) (e : t) : t =
-    if equal ctx.modulus one then zero
-    else if is_zero e then one
-    else if numbits e > ctx.max_bits then powmod ctx.base e ctx.modulus
-    else begin
-      let nblocks = Array.length ctx.tbl in
-      let r = ref ctx.dom.one_d in
-      let started = ref false in
-      for i = 0 to nblocks - 1 do
-        let pos = i * window in
-        let d =
-          (if testbit e pos then 1 else 0)
-          lor (if testbit e (pos + 1) then 2 else 0)
-          lor (if testbit e (pos + 2) then 4 else 0)
-          lor if testbit e (pos + 3) then 8 else 0
-        in
-        if d <> 0 then begin
-          if !started then r := ctx.dom.muld !r ctx.tbl.(i).(d - 1)
-          else begin
-            r := ctx.tbl.(i).(d - 1);
-            started := true
+    match ctx.mont with
+    | None -> powmod_barrett ctx.base e ctx.modulus
+    | Some c ->
+      if Montgomery.is_unit_modulus c then zero
+      else if is_zero e then one
+      else if numbits e > ctx.max_bits then Montgomery.powmod c ctx.base e
+      else begin
+        let w = Montgomery.scratch c in
+        let r = Montgomery.residue c in
+        let started = ref false in
+        for i = 0 to Array.length ctx.tbl - 1 do
+          let d = bits_at e (window * i) window in
+          if d <> 0 then begin
+            let entry = ctx.tbl.(i).(d - 1) in
+            if !started then Montgomery.mul_into c w r r entry
+            else begin
+              Array.blit entry 0 r 0 c.k;
+              started := true
+            end
           end
-        end
-      done;
-      ctx.dom.leave !r
-    end
+        done;
+        Montgomery.leave c w r
+      end
 end
 
-(* Byte-string codecs, big-endian. *)
+(* Byte-string codecs, big-endian, straight between bytes and limbs: one
+   pass with a bit accumulator of fewer than 39 bits. *)
 let of_bytes_be (s : string) : t =
   let n = String.length s in
-  let r = ref zero in
-  let i = ref 0 in
-  while !i < n do
-    (* Consume up to 3 bytes at a time (24 bits < limb). *)
-    let take = min 3 (n - !i) in
-    let v = ref 0 in
-    for j = 0 to take - 1 do
-      v := (!v lsl 8) lor Char.code s.[!i + j]
+  let start = ref 0 in
+  while !start < n && s.[!start] = '\000' do incr start done;
+  if !start = n then zero
+  else begin
+    let top = Char.code s.[!start] in
+    let rec width v = if v = 0 then 0 else 1 + width (v lsr 1) in
+    let bits = (8 * (n - !start - 1)) + width top in
+    let r = Array.make ((bits + limb_bits - 1) / limb_bits) 0 in
+    let acc = ref 0 and nacc = ref 0 and li = ref 0 in
+    for i = n - 1 downto !start do
+      acc := !acc lor (Char.code s.[i] lsl !nacc);
+      nacc := !nacc + 8;
+      if !nacc >= limb_bits then begin
+        r.(!li) <- !acc land limb_mask;
+        incr li;
+        acc := !acc lsr limb_bits;
+        nacc := !nacc - limb_bits
+      end
     done;
-    r := add (shift_left !r (8 * take)) (of_int !v);
-    i := !i + take
-  done;
-  !r
+    if !li < Array.length r then r.(!li) <- !acc;
+    r
+  end
 
 let to_bytes_be ?len (a : t) : string =
-  let nbytes = (numbits a + 7) / 8 in
-  let nbytes = max nbytes 1 in
+  let nbytes = max 1 ((numbits a + 7) / 8) in
   let out_len = match len with
     | None -> nbytes
     | Some l ->
@@ -674,15 +706,19 @@ let to_bytes_be ?len (a : t) : string =
       l
   in
   let b = Bytes.make out_len '\000' in
-  let rec go a pos =
-    if not (is_zero a) then begin
-      let low = (match to_int_opt (rem a (of_int 256)) with Some v -> v | None -> assert false) in
-      Bytes.set b pos (Char.chr low);
-      go (shift_right a 8) (pos - 1)
-    end
-  in
-  go a (out_len - 1);
-  Bytes.to_string b
+  let acc = ref 0 and nacc = ref 0 and pos = ref (out_len - 1) in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc lor (a.(i) lsl !nacc);
+    nacc := !nacc + limb_bits;
+    while !nacc >= 8 && !pos >= 0 do
+      Bytes.set b !pos (Char.chr (!acc land 0xff));
+      decr pos;
+      acc := !acc lsr 8;
+      nacc := !nacc - 8
+    done
+  done;
+  if !pos >= 0 then Bytes.set b !pos (Char.chr (!acc land 0xff));
+  Bytes.unsafe_to_string b
 
 let of_hex (s : string) : t =
   let r = ref zero in

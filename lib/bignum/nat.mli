@@ -11,12 +11,13 @@
     threshold.
 
     {b Fast paths.} Modular exponentiation — the dominant cost of every
-    SINTRA protocol instance — has three accelerated forms layered on
-    {!Montgomery} arithmetic: {!powmod} (single base, Montgomery windows for
-    odd moduli), {!powmod2} (simultaneous double exponentiation, Shamir's
-    trick) and {!Fixed_base} (precomputed window tables for a long-lived
-    base).  {!powmod_barrett} is the pre-Montgomery reference path kept for
-    equivalence testing and benchmarking. *)
+    SINTRA protocol instance — runs on one in-place {!Montgomery} kernel
+    that allocates nothing inside the chain.  Key records build their
+    modulus's {!Montgomery.ctx} once and call {!Montgomery.powmod},
+    {!Montgomery.powmod_multi} and {!Fixed_base.pow}; {!powmod},
+    {!powmod2} and {!powmod_multi} are one-shot forms that build it per
+    call.  {!powmod_barrett} is the reference path, also taken by even
+    moduli. *)
 
 type t
 (** A natural number.  Structurally comparable only via {!compare}/{!equal}
@@ -112,16 +113,16 @@ end
     residues are stored as [x * R mod m] with [R = base]{^ k}, and REDC
     recovers products without any quotient estimation — each of the [k]
     reduction sweeps cancels one low limb by adding a multiple of [m].
-    Strictly faster than {!Barrett} per multiplication, which is why
-    {!powmod} routes every odd-modulus exponentiation (all of SINTRA's
-    groups and RSA moduli) through it. *)
+    Strictly faster than {!Barrett} per multiplication, which is why every
+    odd-modulus exponentiation (all of SINTRA's groups and RSA moduli) runs
+    here.  A context is immutable. *)
 module Montgomery : sig
   type ctx
   (** Precomputed [-m]{^ -1}[ mod 2]{^31} and [R]{^2}[ mod m] for an odd
       modulus [m]. *)
 
   val create : t -> ctx
-  (** [create m] for odd [m].  O(k{^2}).
+  (** [create m] for odd [m]: one O(k{^2}) division.
       @raise Invalid_argument on an even modulus.
       @raise Division_by_zero on a zero modulus. *)
 
@@ -129,32 +130,42 @@ module Montgomery : sig
   (** [to_mont ctx x] is [x * R mod m]; requires [x < m]. *)
 
   val of_mont : ctx -> t -> t
-  (** [of_mont ctx x] is [x * R]{^ -1}[ mod m] — inverse of {!to_mont}. *)
+  (** [of_mont ctx x] is [x * R]{^ -1}[ mod m] — inverse of {!to_mont};
+      requires [x < m]. *)
 
   val mul : ctx -> t -> t -> t
-  (** Product of two Montgomery-form residues, in Montgomery form:
-      one k x k multiply plus one REDC. *)
+  (** Product of two Montgomery-form residues, in Montgomery form: one
+      fused multiply-and-reduce pass per limb (CIOS), no product array. *)
 
   val sqr : ctx -> t -> t
-  (** [sqr ctx a = mul ctx a a]. *)
+  (** [sqr ctx a = mul ctx a a], by the same kernel. *)
 
   val one_m : ctx -> t
   (** The Montgomery form of 1, i.e. [R mod m]. *)
+
+  val powmod : ctx -> t -> t -> t
+  (** [powmod ctx b e] is [b]{^ [e]}[ mod m] for any [b]: 4-bit fixed
+      windows, ~1.23 multiplications per exponent bit (HAC 14.82/14.94);
+      square-and-multiply up to 64 exponent bits ([e = 65537]: 16
+      squarings, one multiply).  Allocates one scratch buffer, the window
+      table and the result.  Semantics as {!Nat.powmod}. *)
+
+  val powmod_multi : ctx -> (t * t) list -> t
+  (** [powmod_multi ctx pairs]: {!Nat.powmod_multi} with a stored context
+      (two pairs make {!Nat.powmod2}). *)
 end
 
 val powmod : t -> t -> t -> t
-(** [powmod b e m] is [b]{^ [e]}[ mod m] by 4-bit fixed windows — over
-    {!Montgomery} multiplication when [m] is odd (the fast path taken by
-    every SINTRA group operation), over {!Barrett} reduction otherwise.
-    ~1.23 modular multiplications per exponent bit (HAC 14.82/14.94).
+(** [powmod b e m] is [b]{^ [e]}[ mod m]: {!Montgomery.powmod} over a
+    context built per call when [m] is odd, {!powmod_barrett} otherwise.
     [powmod b zero m = 1] for [m > 1]; [powmod b e one = 0].
     @raise Division_by_zero if [m] is zero. *)
 
 val powmod_barrett : t -> t -> t -> t
-(** Reference path: {!powmod} forced onto Barrett reduction regardless of
-    modulus parity.  Same results as {!powmod} always; kept for randomized
-    equivalence tests and for the [bench/micro.ml] plain-vs-Montgomery
-    comparison. *)
+(** Reference path: the same windows over {!Barrett} reduction, whatever
+    the modulus parity.  Same results as {!powmod} always; kept for
+    equivalence tests, the [bench/micro.ml] plain-vs-Montgomery comparison
+    and even moduli. *)
 
 val powmod2 : t -> t -> t -> t -> t -> t
 (** [powmod2 b1 e1 b2 e2 m] is [b1]{^ [e1]}[ * b2]{^ [e2]}[ mod m] by
@@ -166,7 +177,7 @@ val powmod2 : t -> t -> t -> t -> t -> t
     verification ([g]{^ z}[ h]{^ -c}), the protocols' hottest operation.
     Exponents of differing bit-lengths are handled by the shared chain
     (the shorter exponent simply contributes zero digits at the top).
-    Montgomery domain for odd [m], Barrett otherwise.
+    Even [m] multiplies two {!powmod_barrett} results.
     @raise Division_by_zero if [m] is zero. *)
 
 val powmod_multi : (t * t) list -> t -> t
@@ -179,8 +190,9 @@ val powmod_multi : (t * t) list -> t -> t
     chain.  For [k] full-width exponents this costs ~[(1 + k/2) * e/2 + e]
     multiplications where [k] separate {!powmod} calls pay ~[1.5 * k * e] —
     the shape of batched share verification and Lagrange combination over
-    all [k] shares.  [powmod_multi [] m = 1 mod m]; one pair delegates to
-    {!powmod}, two to {!powmod2}.
+    all [k] shares.  [powmod_multi [] m = 1 mod m]; zero exponents are
+    dropped and one remaining pair takes {!powmod}.  Even [m] multiplies
+    {!powmod_barrett} results.
     @raise Division_by_zero if [m] is zero. *)
 
 (** Fixed-base precomputation (HAC 14.109 family): for a base reused across
@@ -193,8 +205,9 @@ val powmod_multi : (t * t) list -> t -> t
     at dealer setup and carried in [Group.t] / key records. *)
 module Fixed_base : sig
   type ctx
-  (** The window table for one (base, modulus, exponent-width) triple.
-      Entries are stored in the modulus's {!Montgomery} domain when odd. *)
+  (** The window table for one (base, modulus, exponent-width) triple, in
+      {!Montgomery} form; an even modulus gets no table and every power
+      takes {!powmod_barrett}. *)
 
   val create : base:t -> modulus:t -> max_bits:int -> ctx
   (** [create ~base ~modulus ~max_bits] builds the table covering exponents
@@ -204,18 +217,22 @@ module Fixed_base : sig
 
   val pow : ctx -> t -> t
   (** [pow ctx e] is [base]{^ [e]}[ mod modulus].  Table-driven for
-      [numbits e <= max_bits]; transparently falls back to {!powmod} for
-      oversized exponents (correct, just not accelerated). *)
+      [numbits e <= max_bits]; transparently falls back to
+      {!Montgomery.powmod} for oversized exponents (correct, just not
+      accelerated). *)
 
   val max_bits : ctx -> int
   (** The exponent-width bound the table was built for. *)
 end
 
 val of_bytes_be : string -> t
-(** Big-endian bytes to natural. *)
+(** Big-endian bytes to natural (leading zero bytes allowed).  O(n) in
+    the byte length: one pass that packs bytes straight into limbs and
+    allocates only the result. *)
 
 val to_bytes_be : ?len:int -> t -> string
-(** Big-endian encoding, zero-padded to [len] when given.
+(** Big-endian encoding, zero-padded to [len] when given.  O(n) in the
+    output length: one pass that unpacks limbs straight into bytes.
     @raise Invalid_argument if the value does not fit in [len] bytes. *)
 
 val of_hex : string -> t

@@ -188,7 +188,8 @@ let tsig_shares (pub : Threshold_sig.public) ~(ctx : string) (msg : string)
     (shares : Threshold_sig.share list) : verdict =
   let shares = Array.of_list shares in
   let n = Array.length shares in
-  let nmod = pub.Threshold_sig.n_mod in
+  let nmod = pub.Threshold_sig.rsa.Rsa.n in
+  let multi = Nat.Montgomery.powmod_multi pub.Threshold_sig.rsa.Rsa.n_ctx in
   (* xtilde = x^{4 Delta} is shared by every proof on this message:
      computed once per batch, where the one-at-a-time path pays it per
      share. *)
@@ -240,11 +241,8 @@ let tsig_shares (pub : Threshold_sig.public) ~(ctx : string) (msg : string)
           :: (x_i_sq, Nat.mul e c)
           :: !rhs)
       idxs;
-    let lhs =
-      Nat.powmod_multi
-        [ (pub.Threshold_sig.v, !sum_d_z); (xt, !sum_e_z) ] nmod
-    in
-    Nat.equal lhs (Nat.powmod_multi !rhs nmod)
+    let lhs = multi [ (pub.Threshold_sig.v, !sum_d_z); (xt, !sum_e_z) ] in
+    Nat.equal lhs (multi !rhs)
   in
   let single i = Threshold_sig.verify_share pub ~ctx msg shares.(i) in
   run ~n ~pre ~combined ~single

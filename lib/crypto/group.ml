@@ -11,6 +11,7 @@ type t = {
   q : Bignum.Nat.t;         (* subgroup order, prime, q | p-1 *)
   g : Bignum.Nat.t;         (* generator of the order-q subgroup *)
   cofactor : Bignum.Nat.t;  (* (p-1)/q *)
+  p_ctx : Bignum.Nat.Montgomery.ctx;  (* p's context, built once *)
   g_tbl : table;            (* fixed-base window table for g *)
 }
 
@@ -24,12 +25,14 @@ let make ~p ~q ~g =
   if not (Nat.testbit p 0) then invalid_arg "Group.make: modulus must be odd";
   let p_minus_1 = Nat.sub p Nat.one in
   if not (Nat.is_zero (Nat.rem p_minus_1 q)) then invalid_arg "Group.make: q does not divide p-1";
-  if not (Nat.equal (Nat.powmod g q p) Nat.one) then invalid_arg "Group.make: g not of order q";
+  let p_ctx = Nat.Montgomery.create p in
+  if not (Nat.equal (Nat.Montgomery.powmod p_ctx g q) Nat.one) then
+    invalid_arg "Group.make: g not of order q";
   if Nat.equal g Nat.one then invalid_arg "Group.make: trivial generator";
   (* Exponents run over [0, q] (q itself appears as q - c when c = 0), so
      the table covers the full |q| bit width. *)
   let g_tbl = Nat.Fixed_base.create ~base:g ~modulus:p ~max_bits:(Nat.numbits q) in
-  { p; q; g; cofactor = Nat.div p_minus_1 q; g_tbl }
+  { p; q; g; cofactor = Nat.div p_minus_1 q; p_ctx; g_tbl }
 
 let generate ~(drbg : Hashes.Drbg.t) ~pbits ~qbits : t =
   let random_bytes = Hashes.Drbg.random_bytes drbg in
@@ -44,7 +47,7 @@ let mul (grp : t) (a : elt) (b : elt) : elt = Bignum.Nat.rem (Bignum.Nat.mul a b
    everything else takes the Montgomery-windowed powmod. *)
 let pow (grp : t) (a : elt) (e : exponent) : elt =
   if Bignum.Nat.equal a grp.g then Bignum.Nat.Fixed_base.pow grp.g_tbl e
-  else Bignum.Nat.powmod a e grp.p
+  else Bignum.Nat.Montgomery.powmod grp.p_ctx a e
 
 let pow_g (grp : t) (e : exponent) : elt = Bignum.Nat.Fixed_base.pow grp.g_tbl e
 
@@ -62,12 +65,12 @@ let pow_table (tbl : table) (e : exponent) : elt = Bignum.Nat.Fixed_base.pow tbl
 (* Simultaneous double exponentiation a^ea * b^eb (Shamir's trick) — the
    shape of every share verification. *)
 let mul_exp2 (grp : t) (a : elt) (ea : exponent) (b : elt) (eb : exponent) : elt =
-  Bignum.Nat.powmod2 a ea b eb grp.p
+  Bignum.Nat.Montgomery.powmod_multi grp.p_ctx [ (a, ea); (b, eb) ]
 
 (* k-way simultaneous multi-exponentiation — Lagrange combination over all
    k shares and batched share verification in one shared squaring chain. *)
 let mul_exp_multi (grp : t) (pairs : (elt * exponent) list) : elt =
-  Bignum.Nat.powmod_multi pairs grp.p
+  Bignum.Nat.Montgomery.powmod_multi grp.p_ctx pairs
 
 let inv (grp : t) (a : elt) : elt =
   let open Bignum in
@@ -86,7 +89,7 @@ let is_member (grp : t) (a : elt) : bool =
   let open Bignum in
   not (Nat.is_zero a)
   && Nat.compare a grp.p < 0
-  && Nat.equal (Nat.powmod a grp.q grp.p) Nat.one
+  && Nat.equal (Nat.Montgomery.powmod grp.p_ctx a grp.q) Nat.one
 
 (* Random exponent in [0, q). *)
 let random_exponent (grp : t) ~(drbg : Hashes.Drbg.t) : exponent =
@@ -108,7 +111,7 @@ let hash_to_group (grp : t) (s : string) : elt =
            [ "sintra-h2g|"; string_of_int ctr; "|"; string_of_int i; "|"; s ])
     done;
     let x = Nat.rem (Nat.of_bytes_be (Buffer.contents buf)) grp.p in
-    let e = Nat.powmod x grp.cofactor grp.p in
+    let e = Nat.Montgomery.powmod grp.p_ctx x grp.cofactor in
     if Nat.is_zero e || Nat.equal e Nat.one then attempt (ctr + 1) else e
   in
   attempt 0

@@ -23,6 +23,9 @@ type t = {
   q : Bignum.Nat.t;         (** subgroup order (prime) *)
   g : Bignum.Nat.t;         (** generator of the order-[q] subgroup *)
   cofactor : Bignum.Nat.t;  (** [(p-1)/q] *)
+  p_ctx : Bignum.Nat.Montgomery.ctx;
+  (** [p]'s Montgomery context, built once by {!make}; every power,
+      multi-exponentiation and membership test passes it to the kernel *)
   g_tbl : table;            (** fixed-base table for [g], built by {!make} *)
 }
 

@@ -10,6 +10,7 @@ open Bignum
 type public = {
   n : Nat.t;
   e : Nat.t;
+  n_ctx : Nat.Montgomery.ctx;   (* built once, for every verification *)
 }
 
 type secret = {
@@ -20,7 +21,11 @@ type secret = {
   d_p : Nat.t;       (* d mod p-1 *)
   d_q : Nat.t;       (* d mod q-1 *)
   q_inv : Nat.t;     (* q^{-1} mod p *)
+  p_ctx : Nat.Montgomery.ctx;
+  q_ctx : Nat.Montgomery.ctx;
 }
+
+let public_key ~(n : Nat.t) ~(e : Nat.t) : public = { n; e; n_ctx = Nat.Montgomery.create n }
 
 let default_e = Nat.of_int 65537
 
@@ -46,11 +51,13 @@ let keygen ?(e = default_e) ~(drbg : Hashes.Drbg.t) ~(bits : int) () : secret =
   let d = Bigint.to_nat (Bigint.invmod e_big (Bigint.of_nat phi)) in
   let q_inv = Bigint.to_nat (Bigint.invmod (Bigint.of_nat q) (Bigint.of_nat p)) in
   {
-    pub = { n; e };
+    pub = public_key ~n ~e;
     d; p; q;
     d_p = Nat.rem d p1;
     d_q = Nat.rem d q1;
     q_inv;
+    p_ctx = Nat.Montgomery.create p;
+    q_ctx = Nat.Montgomery.create q;
   }
 
 (* Full-domain hash of a message into [0, n), domain-separated by a context
@@ -68,8 +75,8 @@ let fdh (pub : public) ~(ctx : string) (msg : string) : Nat.t =
 
 (* CRT exponentiation x^d mod n. *)
 let crt_power (sk : secret) (x : Nat.t) : Nat.t =
-  let mp = Nat.powmod (Nat.rem x sk.p) sk.d_p sk.p in
-  let mq = Nat.powmod (Nat.rem x sk.q) sk.d_q sk.q in
+  let mp = Nat.Montgomery.powmod sk.p_ctx x sk.d_p in
+  let mq = Nat.Montgomery.powmod sk.q_ctx x sk.d_q in
   (* h = q_inv * (mp - mq) mod p *)
   let diff = Bigint.erem (Bigint.sub (Bigint.of_nat mp) (Bigint.of_nat mq)) (Bigint.of_nat sk.p) in
   let h = Nat.rem (Nat.mul sk.q_inv (Bigint.to_nat diff)) sk.p in
@@ -87,7 +94,7 @@ let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) :
   && begin
     let s = Nat.of_bytes_be signature in
     Nat.compare s pub.n < 0
-    && Nat.equal (Nat.powmod s pub.e pub.n) (fdh pub ~ctx msg)
+    && Nat.equal (Nat.Montgomery.powmod pub.n_ctx s pub.e) (fdh pub ~ctx msg)
   end
 
 let signature_bytes (pub : public) : int = (Nat.numbits pub.n + 7) / 8

@@ -9,6 +9,7 @@
 type public = {
   n : Bignum.Nat.t;
   e : Bignum.Nat.t;
+  n_ctx : Bignum.Nat.Montgomery.ctx;  (** [n]'s context, built once *)
 }
 
 type secret = {
@@ -19,7 +20,14 @@ type secret = {
   d_p : Bignum.Nat.t;     (** [d mod p-1] *)
   d_q : Bignum.Nat.t;     (** [d mod q-1] *)
   q_inv : Bignum.Nat.t;   (** [q^-1 mod p] *)
+  p_ctx : Bignum.Nat.Montgomery.ctx;  (** [p]'s context, for CRT signing *)
+  q_ctx : Bignum.Nat.Montgomery.ctx;  (** [q]'s context, for CRT signing *)
 }
+
+val public_key : n:Bignum.Nat.t -> e:Bignum.Nat.t -> public
+(** [public_key ~n ~e] packages a public key with [n]'s
+    {!Bignum.Nat.Montgomery} context.
+    @raise Invalid_argument if [n] is even. *)
 
 val default_e : Bignum.Nat.t
 (** 65537. *)

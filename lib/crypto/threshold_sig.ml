@@ -19,8 +19,7 @@
 open Bignum
 
 type public = {
-  n_mod : Nat.t;                (* RSA modulus *)
-  e : Nat.t;                    (* public exponent, prime *)
+  rsa : Rsa.public;             (* RSA modulus n and prime public exponent e *)
   nparties : int;
   k : int;
   t : int;
@@ -86,7 +85,7 @@ let deal ?(e = Nat.of_int 65537) ~(drbg : Hashes.Drbg.t) ~(modulus_bits : int) ~
   in
   let vks = Array.map (fun s -> Nat.Fixed_base.pow v_tbl s.Shamir.value) shamir in
   {
-    public = { n_mod; e; nparties; k; t; v; vks; v_tbl };
+    public = { rsa = Rsa.public_key ~n:n_mod ~e; nparties; k; t; v; vks; v_tbl };
     shares = Array.map (fun s -> { index = s.Shamir.index; s_i = s.Shamir.value }) shamir;
   }
 
@@ -95,7 +94,7 @@ let delta (pub : public) : Nat.t = Shamir.delta pub.nparties
 (* The value being signed: a full-domain hash of the message into Z_n,
    domain-separated by the protocol context. *)
 let message_rep (pub : public) ~(ctx : string) (msg : string) : Nat.t =
-  Rsa.fdh { Rsa.n = pub.n_mod; e = pub.e } ~ctx msg
+  Rsa.fdh pub.rsa ~ctx msg
 
 let hash_challenge (parts : Nat.t list) : Nat.t =
   let joined =
@@ -110,16 +109,17 @@ let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(ctx : s
   let x = message_rep pub ~ctx msg in
   let dlt = delta pub in
   let two_delta = Nat.shift_left dlt 1 in
-  let x_i = Nat.powmod x (Nat.mul two_delta sk.s_i) pub.n_mod in
+  let n = pub.rsa.Rsa.n and pow = Nat.Montgomery.powmod pub.rsa.Rsa.n_ctx in
+  let x_i = pow x (Nat.mul two_delta sk.s_i) in
   (* Proof of correctness over the unknown-order group QR_n. *)
-  let xtilde = Nat.powmod x (Nat.shift_left dlt 2) pub.n_mod in
-  let x_i_sq = Nat.rem (Nat.sqr x_i) pub.n_mod in
+  let xtilde = pow x (Nat.shift_left dlt 2) in
+  let x_i_sq = Nat.rem (Nat.sqr x_i) n in
   (* r is drawn from [0, 2^(nbits + 2*challenge_bits)) so that z = s_i*c + r
      statistically hides s_i * c. *)
-  let rbits = Nat.numbits pub.n_mod + 2 * challenge_bits in
+  let rbits = Nat.numbits n + 2 * challenge_bits in
   let r = Nat.random_bits ~random_bytes:(Hashes.Drbg.random_bytes drbg) rbits in
   let v' = Nat.Fixed_base.pow pub.v_tbl r in
-  let x' = Nat.powmod xtilde r pub.n_mod in
+  let x' = pow xtilde r in
   let c = hash_challenge [ pub.v; xtilde; pub.vks.(sk.index - 1); x_i_sq; v'; x' ] in
   let z = Nat.add (Nat.mul sk.s_i c) r in
   { origin = sk.index; x_i; proof_v = v'; proof_x = x'; proof_z = z }
@@ -128,20 +128,21 @@ let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(ctx : s
    representative's xtilde = x^{4 Delta} (shared by every share on the same
    message — batch verification computes it once). *)
 let share_challenge (pub : public) ~(xtilde : Nat.t) (s : share) : Nat.t =
-  let x_i_sq = Nat.rem (Nat.sqr s.x_i) pub.n_mod in
+  let x_i_sq = Nat.rem (Nat.sqr s.x_i) pub.rsa.Rsa.n in
   hash_challenge [ pub.v; xtilde; pub.vks.(s.origin - 1); x_i_sq; s.proof_v; s.proof_x ]
 
 let xtilde_rep (pub : public) ~(ctx : string) (msg : string) : Nat.t =
   let x = message_rep pub ~ctx msg in
-  Nat.powmod x (Nat.shift_left (delta pub) 2) pub.n_mod
+  Nat.Montgomery.powmod pub.rsa.Rsa.n_ctx x (Nat.shift_left (delta pub) 2)
 
 let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
   s.origin >= 1 && s.origin <= pub.nparties
-  && Nat.compare s.x_i pub.n_mod < 0
+  && Nat.compare s.x_i pub.rsa.Rsa.n < 0
   && not (Nat.is_zero s.x_i)
   && begin
+    let n = pub.rsa.Rsa.n and pow = Nat.Montgomery.powmod pub.rsa.Rsa.n_ctx in
     let xtilde = xtilde_rep pub ~ctx msg in
-    let x_i_sq = Nat.rem (Nat.sqr s.x_i) pub.n_mod in
+    let x_i_sq = Nat.rem (Nat.sqr s.x_i) n in
     let c = share_challenge pub ~xtilde s in
     (* Check v^z = v' * v_i^c and xtilde^z = x' * (x_i^2)^c.  All exponents
        positive — no inversions; v^z hits v's fixed-base table (no
@@ -149,10 +150,8 @@ let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : boo
        (challenge_bits).  Out-of-range commitments reject on the compare:
        the recomputed sides are reduced mod n. *)
     Nat.equal (Nat.Fixed_base.pow pub.v_tbl s.proof_z)
-      (Nat.rem (Nat.mul s.proof_v (Nat.powmod pub.vks.(s.origin - 1) c pub.n_mod))
-         pub.n_mod)
-    && Nat.equal (Nat.powmod xtilde s.proof_z pub.n_mod)
-         (Nat.rem (Nat.mul s.proof_x (Nat.powmod x_i_sq c pub.n_mod)) pub.n_mod)
+      (Nat.rem (Nat.mul s.proof_v (pow pub.vks.(s.origin - 1) c)) n)
+    && Nat.equal (pow xtilde s.proof_z) (Nat.rem (Nat.mul s.proof_x (pow x_i_sq c)) n)
   end
 
 (* The textbook verification path: both equations by plain modular
@@ -164,17 +163,17 @@ let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : boo
 let verify_share_reference (pub : public) ~(ctx : string) (msg : string)
     (s : share) : bool =
   s.origin >= 1 && s.origin <= pub.nparties
-  && Nat.compare s.x_i pub.n_mod < 0
+  && Nat.compare s.x_i pub.rsa.Rsa.n < 0
   && not (Nat.is_zero s.x_i)
   && begin
+    let n = pub.rsa.Rsa.n in
     let xtilde = xtilde_rep pub ~ctx msg in
-    let x_i_sq = Nat.rem (Nat.sqr s.x_i) pub.n_mod in
+    let x_i_sq = Nat.rem (Nat.sqr s.x_i) n in
     let c = share_challenge pub ~xtilde s in
-    Nat.equal (Nat.powmod pub.v s.proof_z pub.n_mod)
-      (Nat.rem (Nat.mul s.proof_v (Nat.powmod pub.vks.(s.origin - 1) c pub.n_mod))
-         pub.n_mod)
-    && Nat.equal (Nat.powmod xtilde s.proof_z pub.n_mod)
-         (Nat.rem (Nat.mul s.proof_x (Nat.powmod x_i_sq c pub.n_mod)) pub.n_mod)
+    Nat.equal (Nat.powmod pub.v s.proof_z n)
+      (Nat.rem (Nat.mul s.proof_v (Nat.powmod pub.vks.(s.origin - 1) c n)) n)
+    && Nat.equal (Nat.powmod xtilde s.proof_z n)
+         (Nat.rem (Nat.mul s.proof_x (Nat.powmod x_i_sq c n)) n)
   end
 
 (* Combine k verified shares into a standard RSA signature on the FDH of
@@ -191,7 +190,7 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
   if List.length shares < pub.k then invalid_arg "Threshold_sig.assemble: not enough distinct shares";
   let x = message_rep pub ~ctx msg in
   let points = List.map (fun s -> s.origin) shares in
-  let nb = Bigint.of_nat pub.n_mod in
+  let nb = Bigint.of_nat pub.rsa.Rsa.n in
   (* w = prod x_i^{2 lambda_i}: one k-way multi-exponentiation per sign
      (the integer Lagrange coefficients are signed), then a single
      inversion folds the negative-exponent half in — against k separate
@@ -208,11 +207,11 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
         else ((s.x_i, Bigint.to_nat e2) :: pos, neg))
       ([], []) shares
   in
-  let p_part = Nat.powmod_multi pos pub.n_mod in
+  let p_part = Nat.Montgomery.powmod_multi pub.rsa.Rsa.n_ctx pos in
   let w =
     if neg = [] then Bigint.of_nat p_part
     else begin
-      let n_part = Nat.powmod_multi neg pub.n_mod in
+      let n_part = Nat.Montgomery.powmod_multi pub.rsa.Rsa.n_ctx neg in
       Bigint.erem
         (Bigint.mul (Bigint.of_nat p_part)
            (Bigint.invmod (Bigint.of_nat n_part) nb))
@@ -222,7 +221,7 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
   (* w = x^{e' d} with e' = 4*Delta^2; recover y = x^d via egcd(e', e) = 1. *)
   let dlt = Bigint.of_nat (delta pub) in
   let e' = Bigint.shift_left (Bigint.mul dlt dlt) 2 in
-  let g, a, b = Bigint.egcd e' (Bigint.of_nat pub.e) in
+  let g, a, b = Bigint.egcd e' (Bigint.of_nat pub.rsa.Rsa.e) in
   if not (Bigint.equal g Bigint.one) then invalid_arg "Threshold_sig.assemble: gcd(e', e) <> 1";
   let y =
     Bigint.erem
@@ -230,12 +229,12 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
          (Bigint.powmod_signed (Bigint.of_nat x) b nb))
       nb
   in
-  let nbytes = (Nat.numbits pub.n_mod + 7) / 8 in
+  let nbytes = (Nat.numbits pub.rsa.Rsa.n + 7) / 8 in
   Nat.to_bytes_be ~len:nbytes (Bigint.to_nat y)
 
 (* Verify an assembled signature: plain RSA verification, usable by anyone
    holding only (n, e). *)
 let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
-  Rsa.verify { Rsa.n = pub.n_mod; e = pub.e } ~ctx ~signature msg
+  Rsa.verify pub.rsa ~ctx ~signature msg
 
-let signature_bytes (pub : public) : int = (Nat.numbits pub.n_mod + 7) / 8
+let signature_bytes (pub : public) : int = (Nat.numbits pub.rsa.Rsa.n + 7) / 8

@@ -10,8 +10,9 @@
     broadcast (k = ceil((n+t+1)/2)) and Byzantine agreement (k = n-t). *)
 
 type public = {
-  n_mod : Bignum.Nat.t;         (** RSA modulus [pq], safe primes *)
-  e : Bignum.Nat.t;             (** public exponent, prime *)
+  rsa : Rsa.public;
+  (** RSA modulus [n = pq] (safe primes) with its context, and the prime
+      public exponent [e]: the key that verifies assembled signatures *)
   nparties : int;
   k : int;
   t : int;

@@ -400,7 +400,8 @@ let tsig_tests =
           (Threshold_sig.verify pub ~ctx:"pid" ~signature:s1 "payload");
         (* and it verifies as a plain RSA signature under (n, e) *)
         Alcotest.(check bool) "plain RSA" true
-          (Rsa.verify { Rsa.n = pub.Threshold_sig.n_mod; e = pub.Threshold_sig.e }
+          (let rsa = pub.Threshold_sig.rsa in
+           Rsa.verify (Rsa.public_key ~n:rsa.Rsa.n ~e:rsa.Rsa.e)
              ~ctx:"pid" ~signature:s1 "payload"));
 
     Alcotest.test_case "too few shares rejected" `Quick (fun () ->

@@ -43,9 +43,13 @@ let release (pub : public) (sk : secret_share) ~(ctx : string) (msg : string) : 
   ignore pub;
   { origin = sk.index; signature = Rsa.sign sk.key ~ctx msg }
 
-let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
-  s.origin >= 1 && s.origin <= pub.nparties
-  && Rsa.verify pub.party_keys.(s.origin - 1) ~ctx ~signature:s.signature msg
+(* Staged: applying the message first builds one FDH memo that every share
+   checked by the resulting closure reuses. *)
+let verify_share (pub : public) ~(ctx : string) (msg : string) : share -> bool =
+  let ph = Rsa.prehash ~ctx msg in
+  fun s ->
+    s.origin >= 1 && s.origin <= pub.nparties
+    && Rsa.verify_prehashed pub.party_keys.(s.origin - 1) ph ~signature:s.signature
 
 (* An assembled multi-signature is the concatenation of k (origin, sig)
    pairs; a compact length-prefixed encoding. *)
@@ -99,7 +103,7 @@ let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) :
     let distinct = List.sort_uniq compare (List.map (fun s -> s.origin) shares) in
     List.length distinct >= pub.k
     && List.length distinct = List.length shares
-    && List.for_all (fun s -> verify_share pub ~ctx msg s) shares
+    && List.for_all (verify_share pub ~ctx msg) shares
 
 let signature_bytes (pub : public) : int =
   (* Size of an assembled multi-signature, for wire-cost accounting. *)

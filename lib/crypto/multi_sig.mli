@@ -35,7 +35,9 @@ val release : public -> secret_share -> ctx:string -> string -> share
 (** One ordinary (CRT) RSA signature. *)
 
 val verify_share : public -> ctx:string -> string -> share -> bool
-(** One RSA verification against the origin's public key. *)
+(** One RSA verification against the origin's public key.  Partially
+    applied to a message, it hashes that message once for all the shares
+    the closure checks. *)
 
 val assemble : public -> ctx:string -> string -> share list -> string
 (** Concatenate [k] shares from distinct origins (length-prefixed).
@@ -45,7 +47,8 @@ val parse_assembled : string -> share list option
 (** Decode {!assemble}'s framing; [None] on malformed input. *)
 
 val verify : public -> ctx:string -> signature:string -> string -> bool
-(** At least [k] valid signatures from distinct parties, no duplicates. *)
+(** At least [k] valid signatures from distinct parties, no duplicates;
+    the message is hashed once, not once per signature. *)
 
 val signature_bytes : public -> int
 (** Size of an assembled multi-signature (larger than a threshold

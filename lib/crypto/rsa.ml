@@ -60,18 +60,49 @@ let keygen ?(e = default_e) ~(drbg : Hashes.Drbg.t) ~(bits : int) () : secret =
     q_ctx = Nat.Montgomery.create q;
   }
 
+let signature_bytes (pub : public) : int = (Nat.numbits pub.n + 7) / 8
+
 (* Full-domain hash of a message into [0, n), domain-separated by a context
-   string (the protocol identifier in SINTRA). *)
-let fdh (pub : public) ~(ctx : string) (msg : string) : Nat.t =
-  let nbytes = (Nat.numbits pub.n + 7) / 8 in
-  let nblocks = (nbytes + 8 + 31) / 32 in
+   string (the protocol identifier in SINTRA), in two steps.  The expansion
+   is [fdh_blocks] SHA-256 blocks in counter mode (at least 8 bytes longer
+   than n), so it depends only on ctx, msg and n's byte length through the
+   block count; only the final reduction depends on n. *)
+let fdh_blocks (pub : public) : int = (signature_bytes pub + 8 + 31) / 32
+
+let fdh_expand ~(ctx : string) ~(nblocks : int) (msg : string) : Nat.t =
   let buf = Buffer.create (32 * nblocks) in
   for i = 0 to nblocks - 1 do
     Buffer.add_string buf
       (Hashes.Sha256.digest_list
          [ "rsa-fdh|"; ctx; "|"; string_of_int i; "|"; msg ])
   done;
-  Nat.rem (Nat.of_bytes_be (Buffer.contents buf)) pub.n
+  Nat.of_bytes_be (Buffer.contents buf)
+
+(* One message's expansions, by block count, so that checking signatures
+   from many keys hashes the message once per distinct count. *)
+type prehash = {
+  ph_ctx : string;
+  ph_msg : string;
+  mutable expanded : (int * Nat.t) list;
+}
+
+let prehash ~(ctx : string) (msg : string) : prehash =
+  { ph_ctx = ctx; ph_msg = msg; expanded = [] }
+
+let fdh_prehashed (pub : public) (ph : prehash) : Nat.t =
+  let nblocks = fdh_blocks pub in
+  let x =
+    match List.assoc_opt nblocks ph.expanded with
+    | Some x -> x
+    | None ->
+      let x = fdh_expand ~ctx:ph.ph_ctx ~nblocks ph.ph_msg in
+      ph.expanded <- (nblocks, x) :: ph.expanded;
+      x
+  in
+  Nat.rem x pub.n
+
+let fdh (pub : public) ~(ctx : string) (msg : string) : Nat.t =
+  fdh_prehashed pub (prehash ~ctx msg)
 
 (* CRT exponentiation x^d mod n. *)
 let crt_power (sk : secret) (x : Nat.t) : Nat.t =
@@ -85,19 +116,18 @@ let crt_power (sk : secret) (x : Nat.t) : Nat.t =
 let sign (sk : secret) ~(ctx : string) (msg : string) : string =
   let h = fdh sk.pub ~ctx msg in
   let s = crt_power sk h in
-  let nbytes = (Nat.numbits sk.pub.n + 7) / 8 in
-  Nat.to_bytes_be ~len:nbytes s
+  Nat.to_bytes_be ~len:(signature_bytes sk.pub) s
 
-let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
-  let nbytes = (Nat.numbits pub.n + 7) / 8 in
-  String.length signature = nbytes
+let verify_prehashed (pub : public) (ph : prehash) ~(signature : string) : bool =
+  String.length signature = signature_bytes pub
   && begin
     let s = Nat.of_bytes_be signature in
     Nat.compare s pub.n < 0
-    && Nat.equal (Nat.Montgomery.powmod pub.n_ctx s pub.e) (fdh pub ~ctx msg)
+    && Nat.equal (Nat.Montgomery.powmod pub.n_ctx s pub.e) (fdh_prehashed pub ph)
   end
 
-let signature_bytes (pub : public) : int = (Nat.numbits pub.n + 7) / 8
+let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
+  verify_prehashed pub (prehash ~ctx msg) ~signature
 
 let public_to_bytes (pub : public) : string =
   let nb = Nat.to_bytes_be pub.n and eb = Nat.to_bytes_be pub.e in

@@ -37,7 +37,17 @@ val keygen : ?e:Bignum.Nat.t -> drbg:Hashes.Drbg.t -> bits:int -> unit -> secret
 
 val fdh : public -> ctx:string -> string -> Bignum.Nat.t
 (** Full-domain hash of a message into [[0, n)], domain-separated by [ctx]
-    (SINTRA binds every signature to its protocol instance). *)
+    (SINTRA binds every signature to its protocol instance).  It is the
+    reduction mod [n] of an expansion that depends only on [ctx], the
+    message and [n]'s byte length. *)
+
+type prehash
+(** One message's FDH expansions, computed on first use and kept per
+    expansion length (a function of the modulus byte length), so checking
+    signatures under many keys hashes the message once per length. *)
+
+val prehash : ctx:string -> string -> prehash
+(** An empty memo for the message (no hashing happens yet). *)
 
 val crt_power : secret -> Bignum.Nat.t -> Bignum.Nat.t
 (** [x^d mod n] by the Chinese remainder theorem (~4x faster than the
@@ -49,6 +59,10 @@ val sign : secret -> ctx:string -> string -> string
 val verify : public -> ctx:string -> signature:string -> string -> bool
 (** FDH verification: one short exponentiation ([e = 65537] is 17
     multiplications). *)
+
+val verify_prehashed : public -> prehash -> signature:string -> bool
+(** {!verify} against a shared memo: [verify_prehashed pub (prehash ~ctx
+    msg) ~signature] is [verify pub ~ctx ~signature msg]. *)
 
 val signature_bytes : public -> int
 (** Signature size, for wire-cost accounting. *)

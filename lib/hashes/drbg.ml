@@ -42,19 +42,27 @@ let bytes (t : t) (n : int) : string =
   done;
   Buffer.contents out
 
-(* Uniform int in [0, bound) by rejection sampling on 62-bit draws. *)
+(* The next byte of the stream, refilling the pool as needed. *)
+let byte (t : t) : int =
+  if t.pool_pos >= String.length t.pool then begin
+    t.pool <- next_block t;
+    t.pool_pos <- 0
+  end;
+  let c = Char.code (String.unsafe_get t.pool t.pool_pos) in
+  t.pool_pos <- t.pool_pos + 1;
+  c
+
+(* Uniform int in [0, bound) by rejection sampling on 62-bit draws: eight
+   stream bytes read big-endian, decoded straight from the pool. *)
 let int (t : t) (bound : int) : int =
   if bound <= 0 then invalid_arg "Drbg.int: non-positive bound";
-  let draw () =
-    let s = bytes t 8 in
-    let v = ref 0 in
-    String.iter (fun c -> v := ((!v lsl 8) lor Char.code c) land max_int) s;
-    !v land max_int
-  in
   let limit = max_int - (max_int mod bound) in
   let rec go () =
-    let v = draw () in
-    if v < limit then v mod bound else go ()
+    let v = ref 0 in
+    for _ = 1 to 8 do
+      v := ((!v lsl 8) lor byte t) land max_int
+    done;
+    if !v < limit then !v mod bound else go ()
   in
   go ()
 

@@ -1,5 +1,7 @@
-(* SHA-256 (FIPS 180-4). Words are 32-bit values kept in OCaml ints and
-   masked after every operation. *)
+(* SHA-256 (FIPS 180-4). Words are 32-bit values kept in OCaml ints.  All
+   state, the message schedule included, lives in the context: there is no
+   module-level scratch, so contexts on different domains share nothing.
+   A fully unrolled round loop measured no faster, so the loops stay. *)
 
 let mask = 0xFFFFFFFF
 
@@ -17,7 +19,8 @@ let k = [|
   0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
 type ctx = {
-  h : int array;       (* 8 state words *)
+  h : int array;               (* 8 state words *)
+  w : int array;               (* 64-word message schedule, per block *)
   buf : Bytes.t;               (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int;         (* total bytes fed *)
@@ -26,51 +29,63 @@ type ctx = {
 let init () = {
   h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
          0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+  w = Array.make 64 0;
   buf = Bytes.create 64;
   buf_len = 0;
   total = 0;
 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let copy (c : ctx) : ctx = {
+  h = Array.copy c.h;
+  w = Array.make 64 0;
+  buf = Bytes.copy c.buf;
+  buf_len = c.buf_len;
+  total = c.total;
+}
 
-let w = Array.make 64 0
+(* Rotate right without the final mask: the high bits it leaves are
+   cleared once, after the three rotations are xored together. *)
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
-let compress (ctx : ctx) (block : Bytes.t) (off : int) =
+(* Every index below is in range by construction: [w] and [k] have 64
+   words, [h] 8, and callers pass [off + 64 <= String.length s]. *)
+external get : int array -> int -> int = "%array_unsafe_get"
+external set : int array -> int -> int -> unit = "%array_unsafe_set"
+
+let compress (ctx : ctx) (s : string) (off : int) =
+  let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (off + 4 * i)) lsl 24)
-      lor (Char.code (Bytes.get block (off + 4 * i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + 4 * i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + 4 * i + 3))
+    set w i (Int32.to_int (String.get_int32_be s (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = get w (i - 15) and y = get w (i - 2) in
+    let s0 = (rotr x 7 lxor rotr x 18 lxor (x lsr 3)) land mask in
+    let s1 = (rotr y 17 lxor rotr y 19 lxor (y lsr 10)) land mask in
+    set w i ((get w (i - 16) + s0 + get w (i - 7) + s1) land mask)
   done;
   let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  let a = ref (get h 0) and b = ref (get h 1) and c = ref (get h 2) in
+  let d = ref (get h 3) and e = ref (get h 4) and f = ref (get h 5) in
+  let g = ref (get h 6) and hh = ref (get h 7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let s1 = (rotr !e 6 lxor rotr !e 11 lxor rotr !e 25) land mask in
     let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let t1 = !hh + s1 + ch + get k i + get w i in
+    let s0 = (rotr !a 2 lxor rotr !a 13 lxor rotr !a 22) land mask in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
     hh := !g; g := !f; f := !e;
     e := (!d + t1) land mask;
     d := !c; c := !b; b := !a;
-    a := (t1 + t2) land mask
+    a := (t1 + s0 + maj) land mask
   done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  set h 0 ((get h 0 + !a) land mask);
+  set h 1 ((get h 1 + !b) land mask);
+  set h 2 ((get h 2 + !c) land mask);
+  set h 3 ((get h 3 + !d) land mask);
+  set h 4 ((get h 4 + !e) land mask);
+  set h 5 ((get h 5 + !f) land mask);
+  set h 6 ((get h 6 + !g) land mask);
+  set h 7 ((get h 7 + !hh) land mask)
 
 let feed_string (ctx : ctx) (s : string) =
   let n = String.length s in
@@ -83,14 +98,13 @@ let feed_string (ctx : ctx) (s : string) =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress ctx (Bytes.unsafe_to_string ctx.buf) 0;
       ctx.buf_len <- 0
     end
   end;
-  let tmp = Bytes.create 64 in
+  (* Whole blocks are compressed straight from [s]. *)
   while n - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    compress ctx tmp 0;
+    compress ctx s !pos;
     pos := !pos + 64
   done;
   if !pos < n then begin
@@ -99,28 +113,23 @@ let feed_string (ctx : ctx) (s : string) =
   end
 
 let finish (ctx : ctx) : string =
-  let bit_len = ctx.total * 8 in
-  (* Append 0x80, pad with zeros, then 64-bit big-endian length. *)
-  let pad_len =
-    let r = (ctx.total + 1) mod 64 in
-    if r <= 56 then 56 - r else 120 - r
-  in
-  let tail = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail (1 + pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  feed_string ctx (Bytes.to_string tail);
-  assert (ctx.buf_len = 0);
+  (* Pad in place: 0x80, zeros, then the 64-bit big-endian bit length. *)
+  let buf = ctx.buf and len = ctx.buf_len in
+  Bytes.set buf len '\x80';
+  if len >= 56 then begin
+    Bytes.fill buf (len + 1) (63 - len) '\000';
+    compress ctx (Bytes.unsafe_to_string buf) 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (len + 1) (55 - len) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx (Bytes.unsafe_to_string buf) 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out (4 * i + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out (4 * i + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out (4 * i + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest (s : string) : string =
   let ctx = init () in
@@ -132,7 +141,14 @@ let digest_list (parts : string list) : string =
   List.iter (feed_string ctx) parts;
   finish ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex_of_digest (d : string) : string =
-  let buf = Buffer.create (2 * String.length d) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+  let n = String.length d in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get d i) in
+    Bytes.unsafe_set out (2 * i) hex_digits.[c lsr 4];
+    Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string out

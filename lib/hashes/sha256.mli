@@ -1,9 +1,14 @@
-(** SHA-256 (FIPS 180-4), incremental and one-shot. *)
+(** SHA-256 (FIPS 180-4), incremental and one-shot.  A context owns all of
+    its state; the module has none. *)
 
 type ctx
 
 val init : unit -> ctx
 (** A fresh hashing context. *)
+
+val copy : ctx -> ctx
+(** An independent context in the same state (a midstate): feeding or
+    finishing either one leaves the other untouched. *)
 
 val feed_string : ctx -> string -> unit
 (** Absorb the next chunk of input. *)

@@ -55,6 +55,9 @@ type t = {
   topo : Topology.t;
   nodes : node array;
   mac_keys : string array array;       (* symmetric, per unordered pair *)
+  hmac : Hashes.Hmac.key array array;  (* prepared [mac_keys], shared by
+                                          (i,j) and (j,i) *)
+  mac_prefix : string array array;     (* "src>dst|", bound into each tag *)
   latency_drbg : Hashes.Drbg.t;
   oob_latency_drbg : Hashes.Drbg.t;    (* storage plane's own jitter stream *)
   oob_last_arrival : float array array;  (* FIFO per (src,dst), oob plane *)
@@ -101,11 +104,22 @@ let make ?lossy ~(engine : Engine.t) ~(topo : Topology.t)
         oob_sent_bytes = 0;
       })
   in
+  let hmac = Array.make n [||] in
+  for i = 0 to n - 1 do
+    hmac.(i) <-
+      Array.init n (fun j ->
+        if j < i then hmac.(j).(i)
+        else Hashes.Hmac.key ~algo:Hashes.Hmac.SHA1 mac_keys.(i).(j))
+  done;
   {
     engine;
     topo;
     nodes;
     mac_keys;
+    hmac;
+    mac_prefix =
+      Array.init n (fun src ->
+        Array.init n (fun dst -> Printf.sprintf "%d>%d|" src dst));
     latency_drbg = Hashes.Drbg.fork (Engine.drbg engine) "net-latency";
     oob_latency_drbg = Hashes.Drbg.fork (Engine.drbg engine) "net-oob-latency";
     intercept = None;
@@ -119,10 +133,12 @@ let make ?lossy ~(engine : Engine.t) ~(topo : Topology.t)
     traces = Array.init n (fun id -> Engine.trace_ctx engine ~party:id);
   }
 
+(* The link MAC binds the direction: HMAC-SHA1 over "src>dst|payload". *)
 let mac_tag (t : t) ~(src : int) ~(dst : int) (payload : string) : string =
-  let key = t.mac_keys.(min src dst).(max src dst) in
-  Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA1 ~key
-    (Printf.sprintf "%d>%d|%s" src dst payload)
+  Hashes.Hmac.mac_parts t.hmac.(src).(dst) [ t.mac_prefix.(src).(dst); payload ]
+
+let mac_ok (t : t) ~(src : int) ~(dst : int) ~(tag : string) (payload : string) : bool =
+  Hashes.Hmac.verify_parts t.hmac.(src).(dst) ~tag [ t.mac_prefix.(src).(dst); payload ]
 
 (* Process at most one inbox message of node [nd], then reschedule. *)
 let rec process_one (t : t) (nd : node) () : unit =
@@ -213,10 +229,7 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not nd.crashed then begin
         (* Verify the link MAC on arrival. *)
-        if Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA1
-             ~key:t.mac_keys.(min src dst).(max src dst)
-             ~tag (Printf.sprintf "%d>%d|%s" src dst payload)
-        then begin
+        if mac_ok t ~src ~dst ~tag payload then begin
           arrived ~arrival;
           Queue.push (src, payload, id) nd.inbox;
           wake t nd (Stdlib.max arrival nd.busy_until)
@@ -237,10 +250,7 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
     let nd = t.nodes.(dst) in
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not nd.crashed then begin
-        if Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA1
-             ~key:t.mac_keys.(min src dst).(max src dst)
-             ~tag (Printf.sprintf "%d>%d|%s" src dst payload)
-        then begin
+        if mac_ok t ~src ~dst ~tag payload then begin
           arrived ~arrival;
           Queue.push (src, payload, id) nd.inbox;
           wake t nd (Stdlib.max arrival nd.busy_until)
@@ -268,10 +278,7 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
     let nd = t.nodes.(dst) in
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not nd.crashed then begin
-        if Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA1
-             ~key:t.mac_keys.(min src dst).(max src dst)
-             ~tag (Printf.sprintf "%d>%d|%s" src dst p)
-        then begin
+        if mac_ok t ~src ~dst ~tag p then begin
           arrived ~arrival;
           Queue.push (src, p, id) nd.inbox
         end
@@ -376,12 +383,7 @@ let send_oob (t : t) ~(src : int) ~(dst : int) (payload : string) : unit =
     let rcv = t.nodes.(dst) in
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not rcv.crashed then begin
-        if
-          Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA1
-            ~key:t.mac_keys.(min src dst).(max src dst)
-            ~tag
-            (Printf.sprintf "%d>%d|%s" src dst payload)
-        then begin
+        if mac_ok t ~src ~dst ~tag payload then begin
           Queue.push (src, payload, id) rcv.oob_inbox;
           oob_wake t rcv (Stdlib.max arrival rcv.oob_busy_until)
         end

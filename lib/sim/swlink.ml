@@ -15,7 +15,7 @@
 
 type endpoint = {
   engine : Engine.t;
-  mac_key : string;
+  mac_key : Hashes.Hmac.key;           (* the pair key, prepared once *)
   window : int;
   rto : float;                         (* retransmission timeout, seconds *)
   out : string -> unit;
@@ -39,13 +39,11 @@ type endpoint = {
 let tag_data = 0
 let tag_ack = 1
 
-let mac (ep : endpoint) (parts : string list) : string =
-  Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA1 ~key:ep.mac_key (String.concat "\x00" parts)
-
 let create ~(engine : Engine.t) ~(mac_key : string) ?(window = 32) ?(rto = 0.5)
     ~(out : string -> unit) ~(deliver : string -> unit) () : endpoint =
   {
-    engine; mac_key; window; rto; out; deliver;
+    engine; window; rto; out; deliver;
+    mac_key = Hashes.Hmac.key ~algo:Hashes.Hmac.SHA1 mac_key;
     snd_next = 0;
     snd_una = 0;
     unacked = Hashtbl.create 64;
@@ -59,18 +57,26 @@ let create ~(engine : Engine.t) ~(mac_key : string) ?(window = 32) ?(rto = 0.5)
     duplicate_frames = 0;
   }
 
+(* Frame MACs cover the NUL-joined fields: "data\x00<seq>\x00<payload>" and
+   "ack\x00<cumulative>". *)
+let data_parts ~(seq : int) (payload : string) : string list =
+  [ "data"; "\x00"; string_of_int seq; "\x00"; payload ]
+
+let ack_parts ~(cumulative : int) : string list =
+  [ "ack"; "\x00"; string_of_int cumulative ]
+
 let encode_data (ep : endpoint) ~(seq : int) (payload : string) : string =
   Wire.encode (fun b ->
     Wire.Enc.u8 b tag_data;
     Wire.Enc.int b seq;
     Wire.Enc.bytes b payload;
-    Wire.Enc.bytes b (mac ep [ "data"; string_of_int seq; payload ]))
+    Wire.Enc.bytes b (Hashes.Hmac.mac_parts ep.mac_key (data_parts ~seq payload)))
 
 let encode_ack (ep : endpoint) ~(cumulative : int) : string =
   Wire.encode (fun b ->
     Wire.Enc.u8 b tag_ack;
     Wire.Enc.int b cumulative;
-    Wire.Enc.bytes b (mac ep [ "ack"; string_of_int cumulative ]))
+    Wire.Enc.bytes b (Hashes.Hmac.mac_parts ep.mac_key (ack_parts ~cumulative)))
 
 let rec arm_retransmit (ep : endpoint) : unit =
   if not ep.retransmit_armed && Hashtbl.length ep.unacked > 0 then begin
@@ -156,11 +162,11 @@ let on_datagram (ep : endpoint) (frame : string) : unit =
   with
   | None -> ep.rejected_frames <- ep.rejected_frames + 1
   | Some (`Data (seq, payload, tag)) ->
-    if tag = mac ep [ "data"; string_of_int seq; payload ] && seq >= 0 then
+    if Hashes.Hmac.verify_parts ep.mac_key ~tag (data_parts ~seq payload) && seq >= 0 then
       handle_data ep ~seq payload
     else ep.rejected_frames <- ep.rejected_frames + 1
   | Some (`Ack (cumulative, tag)) ->
-    if tag = mac ep [ "ack"; string_of_int cumulative ] then
+    if Hashes.Hmac.verify_parts ep.mac_key ~tag (ack_parts ~cumulative) then
       handle_ack ep ~cumulative
     else ep.rejected_frames <- ep.rejected_frames + 1
 

@@ -33,11 +33,19 @@ let release ~(drbg : Hashes.Drbg.t) (sec : secret) ~(ctx : string) (msg : string
   | Shoup_sec (pub, sk) -> Shoup_share (Crypto.Threshold_sig.release ~drbg pub sk ~ctx msg)
   | Multi_sec (pub, sk) -> Multi_share (Crypto.Multi_sig.release pub sk ~ctx msg)
 
-let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
-  match pub, s with
-  | Shoup_pub p, Shoup_share sh -> Crypto.Threshold_sig.verify_share p ~ctx msg sh
-  | Multi_pub p, Multi_share sh -> Crypto.Multi_sig.verify_share p ~ctx msg sh
-  | _ -> false
+(* Staged like [Multi_sig.verify_share]: a closure over one message shares
+   that message's FDH memo across multi-signature shares. *)
+let verify_share (pub : public) ~(ctx : string) (msg : string) : share -> bool =
+  match pub with
+  | Shoup_pub p ->
+    (function
+      | Shoup_share sh -> Crypto.Threshold_sig.verify_share p ~ctx msg sh
+      | Multi_share _ -> false)
+  | Multi_pub p ->
+    let check = Crypto.Multi_sig.verify_share p ~ctx msg in
+    (function
+      | Multi_share sh -> check sh
+      | Shoup_share _ -> false)
 
 let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list) : string =
   match pub with

@@ -32,7 +32,9 @@ val release : drbg:Hashes.Drbg.t -> secret -> ctx:string -> string -> share
     protocol instances so shares cannot be replayed across them. *)
 
 val verify_share : public -> ctx:string -> string -> share -> bool
-(** Check one received share (and its proof) against the message. *)
+(** Check one received share (and its proof) against the message.
+    Partially applied to a message, the closure hashes it once for every
+    multi-signature share it checks. *)
 
 val assemble : public -> ctx:string -> string -> share list -> string
 (** @raise Invalid_argument with fewer than [k] distinct valid-scheme

@@ -150,12 +150,16 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
           accept (i, digest, Tsig.Shoup_share sh))
       shoup
   end
-  else
+  else begin
+    (* One closure for the whole list: multi-signature shares of the same
+       message share its FDH expansion. *)
+    let check = Tsig.verify_share pub ~ctx msg in
     List.iter
       (fun (i, digest, s) ->
         Charge.tsig_verify_share charge;
-        if Tsig.verify_share pub ~ctx msg s then accept (i, digest, s))
-      fresh;
+        if check s then accept (i, digest, s))
+      fresh
+  end;
   valid
 
 (* --- assembled threshold signatures --- *)

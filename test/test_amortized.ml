@@ -706,6 +706,80 @@ let pregen_tests =
             (String.concat "\n" on) (String.concat "\n" off));
   ]
 
+(* --- the multi-signature fallback at the Verify seam --- *)
+
+(* Multi-signature shares have no batch equation, so [Verify.tsig_shares]
+   checks them one by one through a single per-message closure that hashes
+   the statement once.  Its verdicts must be exactly those of an
+   independent [Rsa.verify] per share. *)
+let fallback_tests =
+  [
+    Alcotest.test_case "multi-sig fallback: shared FDH = per-share Rsa.verify"
+      `Quick (fun () ->
+        let c = Util.cluster ~seed:"amort-multi" ~tsig_scheme:Config.Multi () in
+        let rt = Cluster.runtime c 0 in
+        let pub = Tsig.public_of_secret rt.Runtime.keys.Dealer.bc_tsig in
+        let mpub =
+          match pub with
+          | Tsig.Multi_pub p -> p
+          | Tsig.Shoup_pub _ -> Alcotest.fail "expected a multi-signature key"
+        in
+        let reference ~ctx stmt (s : Tsig.share) =
+          match s with
+          | Tsig.Multi_share { Multi_sig.origin; signature } ->
+            origin >= 1 && origin <= mpub.Multi_sig.nparties
+            && Rsa.verify mpub.Multi_sig.party_keys.(origin - 1) ~ctx ~signature stmt
+          | Tsig.Shoup_share _ -> false
+        in
+        let mutate f = function
+          | Tsig.Multi_share sh -> Tsig.Multi_share (f sh)
+          | Tsig.Shoup_share _ as s -> s
+        in
+        let forge (sh : Multi_sig.share) =
+          let b = Bytes.of_string sh.Multi_sig.signature in
+          Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x80));
+          { sh with Multi_sig.signature = Bytes.to_string b }
+        in
+        let truncate (sh : Multi_sig.share) =
+          let s = sh.Multi_sig.signature in
+          { sh with Multi_sig.signature = String.sub s 0 (String.length s - 1) }
+        in
+        let case = ref 0 in
+        let run name (edit : Tsig.share list -> Tsig.share list) =
+          incr case;
+          (* A fresh statement per case, so no verdict comes from the cache. *)
+          let ctx = Printf.sprintf "fallback-%d" !case and stmt = "fallback " ^ name in
+          Runtime.register rt ~pid:ctx (fun ~src:_ _ -> ());
+          let honest =
+            List.init 4 (fun i ->
+              let r = Cluster.runtime c i in
+              Tsig.release ~drbg:r.Runtime.drbg r.Runtime.keys.Dealer.bc_tsig ~ctx stmt)
+          in
+          let shares = edit honest in
+          let got = Verify.tsig_shares rt ~pub ~ctx stmt shares in
+          List.iteri
+            (fun i s ->
+              Alcotest.(check bool) (Printf.sprintf "%s: share %d" name i)
+                (reference ~ctx stmt s) got.(i))
+            shares;
+          Runtime.unregister rt ~pid:ctx;
+          got
+        in
+        let at j f l = List.mapi (fun i s -> if i = j then mutate f s else s) l in
+        Alcotest.(check (array bool)) "honest shares all pass"
+          [| true; true; true; true |] (run "honest" Fun.id);
+        for j = 0 to 3 do
+          let forged = run (Printf.sprintf "forged at %d" j) (at j forge) in
+          Alcotest.(check bool) "forgery caught" false forged.(j);
+          ignore (run (Printf.sprintf "truncated at %d" j) (at j truncate))
+        done;
+        ignore (run "duplicate origin" (fun l -> l @ [ List.hd l ]));
+        ignore (run "out-of-range origin"
+                  (at 1 (fun sh -> { sh with Multi_sig.origin = 9 })));
+        ignore (run "origin 0" (at 2 (fun sh -> { sh with Multi_sig.origin = 0 })));
+        ignore (run "stolen origin" (at 3 (fun sh -> { sh with Multi_sig.origin = 1 }))));
+  ]
+
 let suite =
   equivalence_tests @ cache_tests @ determinism_tests @ cost_tests
-  @ pregen_tests
+  @ pregen_tests @ fallback_tests

@@ -464,6 +464,139 @@ let msig_tests =
         (Multi_sig.verify pub ~ctx:"pid" ~signature:forged "m"));
   ]
 
+(* --- shared FDH: one expansion per message, reduced per key --- *)
+
+(* The multi-signature verdict with one independent [Rsa.verify] per share:
+   nothing hashed once and shared. *)
+let reference_msig_verify (pub : Multi_sig.public) ~ctx ~signature msg : bool =
+  match Multi_sig.parse_assembled signature with
+  | None -> false
+  | Some shares ->
+    let origins = List.map (fun s -> s.Multi_sig.origin) shares in
+    let distinct = List.sort_uniq compare origins in
+    List.length distinct >= pub.Multi_sig.k
+    && List.length distinct = List.length shares
+    && List.for_all
+         (fun (s : Multi_sig.share) ->
+           s.origin >= 1 && s.origin <= pub.Multi_sig.nparties
+           && Rsa.verify pub.Multi_sig.party_keys.(s.origin - 1) ~ctx
+                ~signature:s.signature msg)
+         shares
+
+(* [assemble]'s framing without its filtering, so tests can build
+   duplicate and out-of-range origins. *)
+let frame (shares : Multi_sig.share list) : string =
+  Printf.sprintf "%04d" (List.length shares)
+  ^ String.concat ""
+      (List.map
+         (fun (s : Multi_sig.share) ->
+           Printf.sprintf "%04d%08d" s.origin (String.length s.signature) ^ s.signature)
+         shares)
+
+let flip_last (sig_ : string) : string =
+  let b = Bytes.of_string sig_ in
+  let i = Bytes.length b - 1 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  Bytes.to_string b
+
+(* Four parties whose moduli have 32, 33, 64 and 32 bytes.  The FDH
+   expansion is two SHA-256 blocks for 32 and 33 bytes and three for 64, so
+   one memo must keep an expansion per length. *)
+let mixed_msig =
+  lazy
+    (let shares =
+       Array.mapi
+         (fun i bits ->
+           let d = Hashes.Drbg.fork drbg (Printf.sprintf "mixed-%d" i) in
+           { Multi_sig.index = i + 1; key = Rsa.keygen ~drbg:d ~bits () })
+         [| 256; 264; 512; 256 |]
+     in
+     { Multi_sig.public =
+         { Multi_sig.nparties = 4; k = 3; t = 1;
+           party_keys = Array.map (fun s -> s.Multi_sig.key.Rsa.pub) shares };
+       shares })
+
+let shared_fdh_tests =
+  let check_cases (keys : Multi_sig.keys) =
+    let pub = keys.Multi_sig.public in
+    let ctx = "pid" and msg = "the statement" in
+    let sh o = Multi_sig.release pub keys.Multi_sig.shares.(o - 1) ~ctx msg in
+    let honest = List.map sh [ 1; 2; 3; 4 ] in
+    let with_nth j f = List.mapi (fun i s -> if i = j then f s else s) honest in
+    let cases =
+      [ ("honest 1..4", true, honest);
+        ("honest 1,2,3", true, List.map sh [ 1; 2; 3 ]);
+        ("honest 4,2,3", true, List.map sh [ 4; 2; 3 ]);
+        ("duplicate origin", false, List.map sh [ 1; 1; 2; 3 ]);
+        ("too few", false, List.map sh [ 2; 3 ]);
+        ("origin 0", false,
+         { (sh 1) with Multi_sig.origin = 0 } :: List.map sh [ 2; 3; 4 ]);
+        ("origin n+1", false,
+         List.map sh [ 1; 2; 3 ] @ [ { (sh 4) with Multi_sig.origin = 5 } ]) ]
+      @ List.concat_map
+          (fun j ->
+            [ (Printf.sprintf "forged at %d" j, false,
+               with_nth j (fun s -> { s with Multi_sig.signature = flip_last s.signature }));
+              (Printf.sprintf "truncated at %d" j, false,
+               with_nth j (fun s ->
+                 { s with
+                   Multi_sig.signature =
+                     String.sub s.signature 0 (String.length s.signature - 1) }));
+              (Printf.sprintf "wrong message at %d" j, false,
+               with_nth j (fun s ->
+                 Multi_sig.release pub keys.Multi_sig.shares.(s.Multi_sig.origin - 1)
+                   ~ctx "another statement")) ])
+          [ 0; 1; 2; 3 ]
+    in
+    List.iter
+      (fun (name, want, shares) ->
+        let signature = frame shares in
+        let reference = reference_msig_verify pub ~ctx ~signature msg in
+        let shared = Multi_sig.verify pub ~ctx ~signature msg in
+        Alcotest.(check bool) (name ^ ": reference verdict") want reference;
+        Alcotest.(check bool) (name ^ ": shared-FDH verdict") reference shared;
+        (* The staged per-share check agrees with Rsa.verify share by share. *)
+        let check = Multi_sig.verify_share pub ~ctx msg in
+        List.iteri
+          (fun i (s : Multi_sig.share) ->
+            let ref_ok =
+              s.origin >= 1 && s.origin <= 4
+              && Rsa.verify pub.Multi_sig.party_keys.(s.origin - 1) ~ctx
+                   ~signature:s.signature msg
+            in
+            Alcotest.(check bool) (Printf.sprintf "%s: share %d" name i) ref_ok (check s))
+          shares)
+      cases
+  in
+  [
+    Alcotest.test_case "shared-FDH Multi_sig.verify = per-share Rsa.verify" `Quick
+      (fun () -> check_cases (Lazy.force msig_keys));
+
+    Alcotest.test_case "shared-FDH with mixed modulus byte lengths" `Quick (fun () ->
+      let keys = Lazy.force mixed_msig in
+      let pubs = keys.Multi_sig.public.Multi_sig.party_keys in
+      Alcotest.(check (list int)) "byte lengths" [ 32; 33; 64; 32 ]
+        (Array.to_list (Array.map Rsa.signature_bytes pubs));
+      check_cases keys;
+      (* One memo serves every key, in either order of first use. *)
+      List.iter
+        (fun order ->
+          let ph = Rsa.prehash ~ctx:"c" "m" in
+          List.iter
+            (fun i ->
+              let pk = pubs.(i) and sk = keys.Multi_sig.shares.(i).Multi_sig.key in
+              let signature = Rsa.sign sk ~ctx:"c" "m" in
+              Alcotest.(check bool) "prehashed accepts" true
+                (Rsa.verify_prehashed pk ph ~signature);
+              Alcotest.(check bool) "prehashed rejects" false
+                (Rsa.verify_prehashed pk ph ~signature:(flip_last signature));
+              Alcotest.check nat "s^e = fdh" (Rsa.fdh pk ~ctx:"c" "m")
+                (Bignum.Nat.Montgomery.powmod pk.Rsa.n_ctx
+                   (Bignum.Nat.of_bytes_be signature) pk.Rsa.e))
+            order)
+        [ [ 0; 1; 2; 3 ]; [ 2; 1; 3; 0 ] ]);
+  ]
+
 let enc_tests =
   let dec_share i ct =
     let keys = Lazy.force enc_keys in
@@ -553,4 +686,4 @@ let enc_tests =
 
 let suite =
   group_tests @ fastpath_tests @ shamir_tests @ dleq_tests @ coin_tests
-  @ rsa_tests @ tsig_tests @ msig_tests @ enc_tests
+  @ rsa_tests @ tsig_tests @ msig_tests @ shared_fdh_tests @ enc_tests

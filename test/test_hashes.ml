@@ -22,6 +22,79 @@ let sha1_vectors = [
   String.make 1_000_000 'a', "34aa973cd4c4daa4f61eeb2bdbad27316534016f";
 ]
 
+(* Bytes 0, 1, 2, ...: the message of length [len] is this pattern's prefix. *)
+let pattern (len : int) : string = String.init len (fun i -> Char.chr (i land 0xff))
+
+let sha1_hex s = hex (Hashes.Sha1.digest s)
+let sha256_hex s = hex (Hashes.Sha256.digest s)
+
+(* One line "<sha1> <sha256>\n" per length 0..200 — every padding case of
+   both kernels, one and four blocks deep.  The pin is the SHA-256 of all
+   201 lines, computed independently with coreutils:
+     for L in $(seq 0 200); do
+       printf '%s %s\n' "$(head -c $L pattern.bin | sha1sum | cut -d' ' -f1)" \
+                        "$(head -c $L pattern.bin | sha256sum | cut -d' ' -f1)"
+     done | sha256sum
+   where pattern.bin holds the bytes 0x00..0xc7. *)
+let boundary_lines () : string =
+  String.concat ""
+    (List.init 201 (fun len ->
+       let m = pattern len in
+       sha1_hex m ^ " " ^ sha256_hex m ^ "\n"))
+
+(* Feed [m] split at [k], or copy the midstate at [k] and finish both. *)
+module type HASH = sig
+  type ctx
+  val init : unit -> ctx
+  val copy : ctx -> ctx
+  val feed_string : ctx -> string -> unit
+  val finish : ctx -> string
+  val digest : string -> string
+end
+
+let check_splits (name : string) (module H : HASH) : unit =
+  for len = 0 to 200 do
+    let m = pattern len in
+    let want = H.digest m in
+    for k = 0 to len do
+      let ctx = H.init () in
+      H.feed_string ctx (String.sub m 0 k);
+      H.feed_string ctx (String.sub m k (len - k));
+      if H.finish ctx <> want then
+        Alcotest.failf "%s: length %d split at %d differs from one-shot" name len k
+    done
+  done
+
+(* The pieces of a random split of [m] into up to five parts. *)
+let random_parts (d : Hashes.Drbg.t) (m : string) : string list =
+  let cuts =
+    List.sort_uniq compare
+      (List.init (Hashes.Drbg.int d 5) (fun _ -> Hashes.Drbg.int d (String.length m + 1)))
+  in
+  let rec go pos = function
+    | [] -> [ String.sub m pos (String.length m - pos) ]
+    | c :: rest -> String.sub m pos (c - pos) :: go c rest
+  in
+  go 0 cuts
+
+(* The Drbg output stream (int, bytes, float, bool, rejection draws and a
+   fork), pinned by digest: every seeded run in the repository replays
+   only while this stream stays the same. *)
+let drbg_stream () : string =
+  let d = Hashes.Drbg.create ~seed:"drbg-pin" in
+  let b = Buffer.create 4096 in
+  for i = 1 to 300 do
+    Buffer.add_string b (string_of_int (Hashes.Drbg.int d (i * 7919)));
+    Buffer.add_char b ',';
+    if i mod 7 = 0 then Buffer.add_string b (Hashes.Drbg.bytes d (i mod 13));
+    if i mod 11 = 0 then Buffer.add_string b (string_of_float (Hashes.Drbg.float d 1.0));
+    if i mod 5 = 0 then Buffer.add_string b (if Hashes.Drbg.bool d then "T" else "F");
+    if i mod 17 = 0 then
+      Buffer.add_string b (string_of_int (Hashes.Drbg.int d ((max_int / 3) + 1)))
+  done;
+  Buffer.add_string b (Hashes.Drbg.bytes (Hashes.Drbg.fork d "child") 40);
+  Buffer.contents b
+
 let suite = [
   Alcotest.test_case "sha256 vectors" `Quick (fun () ->
     List.iter
@@ -82,9 +155,83 @@ let suite = [
          "Test Using Larger Than Block-Size Key - Hash Key First"));
 
   Alcotest.test_case "hmac-sha1 rfc2202" `Quick (fun () ->
-    let key = String.make 20 '\x0b' in
+    let sha1 ~key msg = Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA1 ~key msg in
     check_hex "tc1" "b617318655057264e28bc0b6fb378c8ef146be00"
-      (Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA1 ~key "Hi There"));
+      (sha1 ~key:(String.make 20 '\x0b') "Hi There");
+    check_hex "tc2" "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
+      (sha1 ~key:"Jefe" "what do ya want for nothing?");
+    check_hex "tc3" "125d7342b9ac11cd91a39af48aa17b4f63f175d3"
+      (sha1 ~key:(String.make 20 '\xaa') (String.make 50 '\xdd'));
+    check_hex "tc4" "4c9007f4026250c6bc8414f9bf50c86c2d7235da"
+      (sha1 ~key:(String.init 25 (fun i -> Char.chr (i + 1))) (String.make 50 '\xcd'));
+    check_hex "tc5" "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04"
+      (sha1 ~key:(String.make 20 '\x0c') "Test With Truncation");
+    check_hex "tc6" "aa4ae5e15272d00e95705637ce8a3b55ed402112"
+      (sha1 ~key:(String.make 80 '\xaa')
+         "Test Using Larger Than Block-Size Key - Hash Key First");
+    check_hex "tc7" "e8e99d0f45237d786d6bbaa7965c7808bbff1a91"
+      (sha1 ~key:(String.make 80 '\xaa')
+         "Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data"));
+
+  Alcotest.test_case "sha1/sha256 lengths 0..200 match coreutils" `Quick (fun () ->
+    Alcotest.(check string) "digest of digests"
+      "e2197fd79ebba2d2b96c8ef5d539fdc82eb90bca96d4e55ab991e21130a39319"
+      (sha256_hex (boundary_lines ())));
+
+  Alcotest.test_case "incremental = one-shot at every split point" `Quick (fun () ->
+    check_splits "sha1" (module Hashes.Sha1);
+    check_splits "sha256" (module Hashes.Sha256));
+
+  Alcotest.test_case "copy is an independent midstate" `Quick (fun () ->
+    let check (name : string) (module H : HASH) =
+      let m = pattern 150 in
+      for k = 0 to 150 do
+        let a = H.init () in
+        H.feed_string a (String.sub m 0 k);
+        let b = H.copy a in
+        (* Diverge the copy, finish it first: the original must not see it. *)
+        H.feed_string b "divergent tail";
+        let tb = H.finish b in
+        H.feed_string a (String.sub m k (150 - k));
+        if H.finish a <> H.digest m then
+          Alcotest.failf "%s: copy at %d disturbed the original" name k;
+        if tb <> H.digest (String.sub m 0 k ^ "divergent tail") then
+          Alcotest.failf "%s: copy at %d is not the same midstate" name k
+      done
+    in
+    check "sha1" (module Hashes.Sha1);
+    check "sha256" (module Hashes.Sha256));
+
+  Alcotest.test_case "keyed mac_parts = one-shot mac" `Quick (fun () ->
+    let d = Hashes.Drbg.create ~seed:"hmac-parts" in
+    List.iter
+      (fun algo ->
+        List.iter
+          (fun klen ->
+            let secret = Hashes.Drbg.bytes d klen in
+            let key = Hashes.Hmac.key ~algo secret in
+            for len = 0 to 150 do
+              let m = Hashes.Drbg.bytes d len in
+              let parts = random_parts d m in
+              let want = Hashes.Hmac.mac ~algo ~key:secret m in
+              if Hashes.Hmac.mac_parts key parts <> want then
+                Alcotest.failf "key length %d, message %d: parts differ" klen len;
+              if not (Hashes.Hmac.verify_parts key ~tag:want parts) then
+                Alcotest.failf "key length %d, message %d: verify_parts rejects" klen len
+            done;
+            (* The key is reusable: a second tag of the same message agrees. *)
+            Alcotest.(check string) "reusable key"
+              (Hashes.Hmac.mac ~algo ~key:secret "again")
+              (Hashes.Hmac.mac_parts key [ "ag"; ""; "ain" ]))
+          [ 0; 1; 20; 64; 65; 131 ])
+      [ Hashes.Hmac.SHA1; Hashes.Hmac.SHA256 ]);
+
+  Alcotest.test_case "drbg stream pinned" `Quick (fun () ->
+    Alcotest.(check string) "stream digest"
+      "c54a74b3179b8426bf2fd836ba281d6d8dbd5b2fd04c071ba9cc7fd6ec4ce58c"
+      (sha256_hex (drbg_stream ()));
+    Alcotest.(check string) "hex_of_digest" "00017f80feff"
+      (hex "\x00\x01\x7f\x80\xfe\xff"));
 
   Alcotest.test_case "hmac verify accepts/rejects" `Quick (fun () ->
     let tag = Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA256 ~key:"k" "msg" in

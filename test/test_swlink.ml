@@ -149,4 +149,47 @@ let suite = [
     Alcotest.(check (list string)) "intact stream" (workload 30) (List.rev !delivered);
     Alcotest.(check bool) "corruption detected" true
       (Sim.Swlink.rejected_frames (Option.get !b_ref) > 0));
+
+  Alcotest.test_case "frame tags are HMAC-SHA1 over the NUL-joined fields" `Quick
+    (fun () ->
+      (* The wire format predates the keyed-HMAC endpoints: a DATA tag covers
+         "data\x00<seq>\x00<payload>" and an ACK tag "ack\x00<cumulative>". *)
+      let engine = Sim.Engine.create ~seed:"swtag" () in
+      let mac s = Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA1 ~key:"k" s in
+      let sent = ref [] and delivered = ref [] in
+      let a = Sim.Swlink.create ~engine ~mac_key:"k"
+                ~out:(fun f -> sent := f :: !sent) ~deliver:(fun _ -> ()) () in
+      Sim.Swlink.send a "hello";
+      let decoded =
+        Wire.decode (List.hd !sent) (fun d ->
+          let kind = Wire.Dec.u8 d in
+          let seq = Wire.Dec.int d in
+          let payload = Wire.Dec.bytes d in
+          (kind, seq, payload, Wire.Dec.bytes d))
+      in
+      Alcotest.(check bool) "data tag" true
+        (decoded = Some (0, 0, "hello", mac "data\x000\x00hello"));
+      (* A peer accepts a frame tagged in that form, rejects a one-bit change
+         of its tag, and acknowledges with a tag in the same form. *)
+      let acks = ref [] in
+      let b = Sim.Swlink.create ~engine ~mac_key:"k"
+                ~out:(fun f -> acks := f :: !acks)
+                ~deliver:(fun p -> delivered := p :: !delivered) () in
+      let frame ~tag =
+        Wire.encode (fun e ->
+          Wire.Enc.u8 e 0; Wire.Enc.int e 0; Wire.Enc.bytes e "hi"; Wire.Enc.bytes e tag)
+      in
+      let good = mac "data\x000\x00hi" in
+      let bad = String.mapi (fun i c -> if i = 19 then Char.chr (Char.code c lxor 1) else c) good in
+      Sim.Swlink.on_datagram b (frame ~tag:bad);
+      Alcotest.(check int) "bit-flipped tag rejected" 1 (Sim.Swlink.rejected_frames b);
+      Sim.Swlink.on_datagram b (frame ~tag:good);
+      Alcotest.(check (list string)) "delivered" [ "hi" ] !delivered;
+      let ack =
+        Wire.decode (List.hd !acks) (fun d ->
+          let kind = Wire.Dec.u8 d in
+          let cumulative = Wire.Dec.int d in
+          (kind, cumulative, Wire.Dec.bytes d))
+      in
+      Alcotest.(check bool) "ack tag" true (ack = Some (1, 1, mac "ack\x001")));
 ]

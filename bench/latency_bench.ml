@@ -1,11 +1,11 @@
 (* The latency section of the bench harness: traced open-loop atomic
    broadcast at several offered loads, with completion-latency percentiles
    and a critical-path phase breakdown per point (lib/load latency bench),
-   written to BENCH_latency.json.
+   written as the latency ledger.
 
-   Quick mode runs the CI-sized smoke bench; --full measures 8 virtual
-   seconds per point over five offered rates and is what the committed
-   BENCH_latency.json is regenerated with. *)
+   Quick mode runs the CI-sized smoke bench into smoke_latency.json;
+   --full measures 8 virtual seconds per point over five offered rates
+   into the committed BENCH_latency.json. *)
 
 let run ~(quick : bool) () : unit =
   print_endline "--- latency: critical-path attribution by offered load ---";
@@ -36,8 +36,5 @@ let run ~(quick : bool) () : unit =
         p.Load.Latency.phases_s;
       print_newline ())
     report.Load.Latency.points;
-  let path = "BENCH_latency.json" in
-  let oc = open_out path in
-  output_string oc (Load.Latency.to_json report);
-  close_out oc;
-  Printf.printf "wrote %s\n\n" path
+  Printf.printf "wrote %s\n\n"
+    (Load.Ledger.write (Load.Latency.ledger report))

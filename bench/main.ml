@@ -7,22 +7,25 @@
      dune exec bench/main.exe -- fig4 table1  - a subset
      dune exec bench/main.exe -- micro        - bechamel crypto microbenches
      dune exec bench/main.exe -- perf         - fast-path wall-clock comparison
-                                                (writes BENCH_perf.json; 512-bit
-                                                quick mode unless --full)
+                                                (512-bit quick mode unless
+                                                --full)
      dune exec bench/main.exe -- throughput   - batched vs unbatched atomic
-                                                broadcast sweep (writes
-                                                BENCH_throughput.json; smoke
-                                                size unless --full)
+                                                broadcast sweep plus the
+                                                adaptive batch cap
      dune exec bench/main.exe -- latency      - traced offered-load ladder
                                                 with critical-path phase
-                                                attribution (writes
-                                                BENCH_latency.json; smoke
-                                                size unless --full)
-     dune exec bench/main.exe -- durability   - rebuild-at-tip cost, full log
-                                                replay vs checkpointed replay
-                                                vs snapshot transfer (writes
-                                                BENCH_durability.json; smoke
-                                                size unless --full)
+                                                attribution
+     dune exec bench/main.exe -- durability   - durability check, then (with
+                                                --full) rebuild-at-tip cost:
+                                                full log replay vs
+                                                checkpointed replay vs
+                                                snapshot transfer
+     dune exec bench/main.exe -- vopr         - schedule-explorer seeds/sec
+     dune exec bench/main.exe -- check FILE.. - apply the gate table
+                                                (Load.Ledger.gates) to ledgers
+
+   perf, throughput, latency, durability and vopr each write one ledger:
+   smoke_<bench>.json in quick mode, BENCH_<bench>.json with --full.
 
    Absolute numbers come from a simulator calibrated with the paper's host
    and network measurements; the claims to check are the *shapes* (see
@@ -32,8 +35,35 @@ let known =
   [ "fig3"; "fig4"; "fig5"; "table1"; "fig6"; "hosts"; "micro"; "perf";
     "ablations"; "vopr"; "throughput"; "latency"; "durability" ]
 
+(* Apply the gate table to each ledger file; exit 1 if any gate fails. *)
+let check (files : string list) : unit =
+  let failed = ref false in
+  List.iter
+    (fun file ->
+      match Load.Ledger.read file with
+      | Error e ->
+        Printf.eprintf "%s: INVALID ledger: %s\n" file e;
+        failed := true
+      | Ok l ->
+        (match Load.Ledger.check l with
+         | [] ->
+           Printf.printf "%s: %s ledger, %d rows, %d gates pass\n" file
+             l.Load.Ledger.bench (List.length l.Load.Ledger.rows)
+             (List.length (List.filter (Load.Ledger.applies l) Load.Ledger.gates))
+         | fails ->
+           List.iter (Printf.eprintf "%s: FAILED %s\n" file) fails;
+           failed := true))
+    files;
+  exit (if !failed then 1 else 0)
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  (match args with
+   | [ "check" ] ->
+     prerr_endline "usage: main.exe check FILE...";
+     exit 2
+   | "check" :: files -> check files
+   | _ -> ());
   let full = List.mem "--full" args in
   let fast_path = not (List.mem "--no-fast-path" args) in
   let args =

@@ -171,11 +171,11 @@ let run_group ~(name : string) (tests : Test.t list) : unit =
    n=4, k=3.  The production one-at-a-time rows are reported alongside for
    scale.
 
-   Schema v2: every result row carries its own mod_bits.  Quick mode runs
-   the 512-bit ladder only so `dune runtest` can afford it (a 1024-bit
-   Shoup deal alone is minutes of safe-prime search); --full runs 512 and
-   1024 and the committed BENCH_perf.json reports its speedups at the
-   paper's 1024 bits. *)
+   Every timing and speedup row carries its modulus size.  Quick mode runs
+   the 512-bit ladder only, into smoke_perf.json, so `dune runtest` can
+   afford it (a 1024-bit Shoup deal alone is minutes of safe-prime
+   search); --full runs 512 and 1024 into the committed BENCH_perf.json,
+   whose gates hold the speedups at the paper's 1024 bits. *)
 
 (* A timer for [f]: each call of the result runs [iters] calls, where
    [iters] targets [budget] wall seconds (calibrated by one warm-up call),
@@ -220,7 +220,16 @@ let time_pair_ms ~(budget : float) (slow : unit -> unit) (fast : unit -> unit)
     median (List.map snd rounds),
     median (List.map (fun (a, b) -> a /. b) rounds) )
 
-let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
+(* The stack layer a perf row measures: the exponentiation kernels, or
+   the threshold-crypto operations built on them. *)
+let layer_of (name : string) : string =
+  if List.mem name
+       [ "powmod-barrett"; "powmod-montgomery"; "two-powmods"; "powmod2";
+         "powmod-160bit"; "fixed-base-160bit" ]
+  then "bignum"
+  else "crypto"
+
+let perf ~(quick : bool) () : unit =
   let open Bignum in
   let qbits = 160 in
   let budget = if quick then 0.1 else 0.5 in
@@ -229,15 +238,14 @@ let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
     "=== Fast-path wall-clock comparison (%s-bit moduli, %d-bit group order) ===\n\n"
     (String.concat "/" (List.map string_of_int sizes))
     qbits;
-  let results : (string * int * float) list ref = ref [] in
-  let speedups : (string * float) list ref = ref [] in
-  let speedup_bits = ref 0 in
   let run_at pbits =
     let d = Hashes.Drbg.fork drbg (Printf.sprintf "perf%d" pbits) in
     let rb = Hashes.Drbg.random_bytes d in
     Printf.printf "--- %d-bit modulus ---\n" pbits;
+    let params = [ ("bits", string_of_int pbits) ] in
+    let rows = ref [] in
     let record name ms =
-      results := (name, pbits, ms) :: !results;
+      rows := Load.Ledger.row ~params (layer_of name) name "ms/op" ms :: !rows;
       Printf.printf "  %-32s %12.4f ms/op\n%!" name ms
     in
     let bench name f = record name (time_ms ~budget f) in
@@ -354,41 +362,27 @@ let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
         | Crypto.Batch.All_valid -> ()
         | Crypto.Batch.Invalid _ -> failwith "perf: honest coin batch rejected")
     in
-    (* Speedups from the largest modulus measured (the committed --full
-       report therefore quotes them at the paper's 1024 bits). *)
-    speedup_bits := pbits;
-    speedups :=
+    let speedups =
       [ ("montgomery", montgomery);
         ("multi_exp", multi_exp);
         ("fixed_base", fixed_base);
         ("dleq_verify", dleq_verify);
         ("tsig_batch_verify", 3.0 *. tsig_batch);
-        ("coin_batch_verify", 3.0 *. coin_batch) ];
-    print_newline ()
+        ("coin_batch_verify", 3.0 *. coin_batch) ]
+    in
+    List.iter
+      (fun (n, s) -> Printf.printf "  speedup %-20s %6.2fx\n" n s)
+      speedups;
+    print_newline ();
+    List.rev !rows
+    @ List.map (fun (n, s) -> Load.Ledger.row ~params "speedup" n "x" s) speedups
   in
-  List.iter run_at sizes;
-  List.iter
-    (fun (n, s) -> Printf.printf "  speedup %-20s %6.2fx  (at %d bits)\n" n s !speedup_bits)
-    !speedups;
-  let json =
-    Printf.sprintf
-      "{\n  \"schema\": \"sintra-bench-perf-v2\",\n  \"qbits\": %d,\n  \
-       \"speedup_mod_bits\": %d,\n  \"results\": [\n%s\n  ],\n  \
-       \"speedups\": {\n%s\n  }\n}\n"
-      qbits !speedup_bits
-      (String.concat ",\n"
-         (List.rev_map
-            (fun (n, bits, ms) ->
-              Printf.sprintf "    {\"name\": %S, \"mod_bits\": %d, \"ms_per_op\": %.6f}"
-                n bits ms)
-            !results))
-      (String.concat ",\n"
-         (List.map (fun (n, s) -> Printf.sprintf "    %S: %.4f" n s) !speedups))
+  let l =
+    Load.Ledger.make ~bench:"perf" ~full:(not quick)
+      ~params:[ ("qbits", string_of_int qbits) ]
+      (List.concat_map run_at sizes)
   in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n\n" out
+  Printf.printf "wrote %s\n\n" (Load.Ledger.write l)
 
 let all () =
   print_endline "=== Micro-benchmarks (real wall-clock on this host, pure-OCaml bignum) ===\n";

@@ -1,62 +1,37 @@
-(* Schedule-explorer throughput: sweep a batch of seeds per workload and
-   report seeds/sec, emitted as BENCH_vopr.json.  The sweep doubles as a
-   bench-time regression check — any oracle failure on trunk fails the
-   experiment loudly. *)
+(* Schedule-explorer throughput: sweep a batch of seeds per workload kind
+   and report seeds/sec, written as the vopr ledger.  The sweep doubles as
+   a regression check — its gate holds every kind to zero oracle
+   failures. *)
 
-let workloads =
-  [ Vopr.Oracle.Reliable; Vopr.Oracle.Consistent; Vopr.Oracle.Aba;
-    Vopr.Oracle.Mvba; Vopr.Oracle.Atomic; Vopr.Oracle.Secure;
-    Vopr.Oracle.Throughput; Vopr.Oracle.Amortized ]
-
-let run ?(quick = true) ?(out = "BENCH_vopr.json") () : unit =
+let run ~(quick : bool) () : unit =
   let seeds = if quick then 20 else 200 in
   Printf.printf "=== Schedule explorer throughput (%d seeds per workload) ===\n\n"
     seeds;
   let rows =
-    List.map
+    List.concat_map
       (fun kind ->
-        let runner ~seed sched = Vopr.Workload.run ~kind ~seed sched in
-        let oracles = Vopr.Oracle.all kind in
         let t0 = Unix.gettimeofday () in
         let report =
-          Vopr.Explorer.explore ~runner ~oracles
-            ~generate:(fun ~run_seed ->
-              Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty:1
-                ~allow_equiv:(Vopr.Workload.byz_supported kind))
+          Vopr.Explorer.explore
+            ~runner:(fun ~seed sched -> Vopr.Workload.run ~kind ~seed sched)
+            ~oracles:(Vopr.Oracle.all kind)
+            ~generate:(Vopr.Workload.schedule ~kind)
             ~seed:"bench-vopr" ~seeds ()
         in
-        let dt = Unix.gettimeofday () -. t0 in
-        let rate = float_of_int seeds /. (dt +. 1e-9) in
+        let rate = float_of_int seeds /. (Unix.gettimeofday () -. t0 +. 1e-9) in
+        let name = Vopr.Oracle.kind_to_string kind in
+        let runs = report.Vopr.Explorer.runs in
         let failures = List.length report.Vopr.Explorer.failures in
-        Printf.printf "  %-12s %4d runs  %d failure(s)  %8.1f seeds/sec\n%!"
-          (Vopr.Oracle.kind_to_string kind)
-          report.Vopr.Explorer.runs failures rate;
-        (kind, report.Vopr.Explorer.runs, failures, rate))
-      workloads
+        Printf.printf "  %-16s %4d runs  %d failure(s)  %8.1f seeds/sec\n%!" name
+          runs failures rate;
+        let row = Load.Ledger.row ~params:[ ("workload", name) ] "vopr" in
+        [ row "runs" "runs" (float_of_int runs);
+          row "failures" "seeds" (float_of_int failures);
+          row "seeds_per_s" "seeds/s" rate ])
+      Vopr.Oracle.kinds
   in
-  let total_failures =
-    List.fold_left (fun acc (_, _, f, _) -> acc + f) 0 rows
+  let l =
+    Load.Ledger.make ~bench:"vopr" ~full:(not quick)
+      ~params:[ ("seeds", string_of_int seeds) ] rows
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"schema\": \"sintra-bench-vopr-v1\",\n  \"seeds_per_workload\": \
-       %d,\n  \"failures\": %d,\n  \"results\": [\n%s\n  ]\n}\n"
-      seeds total_failures
-      (String.concat ",\n"
-         (List.map
-            (fun (kind, runs, failures, rate) ->
-              Printf.sprintf
-                "    {\"workload\": %S, \"runs\": %d, \"failures\": %d, \
-                 \"seeds_per_sec\": %.2f}"
-                (Vopr.Oracle.kind_to_string kind)
-                runs failures rate)
-            rows))
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n\n" out;
-  if total_failures > 0 then begin
-    Printf.eprintf "vopr bench: %d oracle failure(s) on trunk\n" total_failures;
-    exit 1
-  end
+  Printf.printf "\nwrote %s\n\n" (Load.Ledger.write l)

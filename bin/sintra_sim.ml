@@ -107,8 +107,8 @@ let durable_arg =
                  threshold-signed checkpoints, and log/backlog garbage \
                  collection below the latest stable checkpoint.")
 
-let checkpoint_interval_arg ~default =
-  Arg.(value & opt int default
+let checkpoint_interval_arg =
+  Arg.(value & opt int 256
        & info [ "checkpoint-interval" ] ~docv:"R"
            ~doc:"Rounds between checkpoints; 0 disables checkpointing (log \
                  only).")
@@ -155,6 +155,12 @@ let trace_format_arg =
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ] ~doc:"Print per-party metrics after the run.")
+
+let read_file (path : string) : string =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_file (path : string) (contents : string) : unit =
   let oc = open_out_bin path in
@@ -381,7 +387,7 @@ let run_cmd =
           $ no_fast_path_arg $ no_batching_arg $ pipeline_depth_arg
           $ no_adaptive_batch_arg $ no_batch_verify_arg $ no_share_cache_arg
           $ no_coin_pregen_arg $ durable_arg
-          $ checkpoint_interval_arg ~default:256 $ store_dir_arg
+          $ checkpoint_interval_arg $ store_dir_arg
           $ senders $ messages
           $ crashes_arg $ verbose $ trace_file_arg $ trace_format_arg
           $ stats_arg)
@@ -518,13 +524,6 @@ let crypto_cmd =
 (* --- trace-check: validate a trace file written by --trace --- *)
 
 let trace_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
   (* Balanced B/E per (pid, tid) lane: the count never goes negative and
      ends at zero. *)
   let check_chrome (events : Trace.Json.value list) : (int, string) result =
@@ -613,13 +612,6 @@ let trace_check_cmd =
 (* --- critical-path: causal-DAG latency attribution over a JSONL trace --- *)
 
 let critical_path_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
   let run file json min_coverage =
     match Trace.Causal.of_jsonl (read_file file) with
     | Error e ->
@@ -669,150 +661,6 @@ let critical_path_cmd =
              to named phases (pending, queue, transit, crypto, compute) \
              along its critical path.")
     Term.(const run $ file $ json $ min_coverage)
-
-(* --- bench-latency: traced offered-load ladder with phase attribution --- *)
-
-let bench_latency_cmd =
-  let run smoke out duration rates seed =
-    let rates = match rates with [] -> None | rs -> Some rs in
-    let report = Load.Latency.run ~smoke ?duration ?rates ~seed () in
-    List.iter
-      (fun (p : Load.Latency.point) ->
-        Printf.printf
-          "offered %6.1f req/s: %4d payloads  p50 %.3fs  p90 %.3fs  p99 \
-           %.3fs  coverage %.3f\n"
-          p.Load.Latency.offered_per_s p.Load.Latency.payloads
-          p.Load.Latency.latency_p50_s p.Load.Latency.latency_p90_s
-          p.Load.Latency.latency_p99_s p.Load.Latency.coverage)
-      report.Load.Latency.points;
-    write_file out (Load.Latency.to_json report);
-    Printf.printf "wrote %s\n" out
-  in
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"CI-sized bench: 1 virtual second per point over three \
-                   offered rates.")
-  in
-  let out =
-    Arg.(value & opt string "BENCH_latency.json"
-         & info [ "out" ] ~docv:"FILE" ~doc:"Output report path.")
-  in
-  let duration =
-    Arg.(value & opt (some float) None
-         & info [ "duration" ] ~docv:"SECONDS"
-             ~doc:"Virtual seconds per measurement point (default 8, or 1 \
-                   with --smoke).")
-  in
-  let rates =
-    Arg.(value & opt (list float) []
-         & info [ "rates" ] ~docv:"R1,R2,..."
-             ~doc:"Offered-rate ladder in requests per virtual second \
-                   (default 5,10,20,40,80, or 10,20,40 with --smoke).")
-  in
-  let seed =
-    Arg.(value & opt string "latency"
-         & info [ "seed" ] ~docv:"SEED" ~doc:"Determinism seed.")
-  in
-  Cmd.v
-    (Cmd.info "bench-latency"
-       ~doc:"Measure atomic-broadcast completion latency at several offered \
-             loads with end-to-end causal tracing: per-point percentiles \
-             plus a critical-path phase breakdown, written as \
-             BENCH_latency.json.")
-    Term.(const run $ smoke $ out $ duration $ rates $ seed)
-
-(* --- latency-check: validate BENCH_latency.json --- *)
-
-let latency_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
-  let check (min_points : int) (min_coverage : float)
-      (doc : Trace.Json.value) : (string, string) result =
-    let str v f = Option.bind (Trace.Json.member f v) Trace.Json.str_opt in
-    let num v f = Option.bind (Trace.Json.member f v) Trace.Json.num_opt in
-    match str doc "format" with
-    | Some "sintra-bench-latency-v1" ->
-      (match Option.bind (Trace.Json.member "points" doc) Trace.Json.list_opt with
-       | None -> Error "missing \"points\" array"
-       | Some points when List.length points < min_points ->
-         Error
-           (Printf.sprintf "only %d point(s), need at least %d"
-              (List.length points) min_points)
-       | Some points ->
-         let bad_point p =
-           List.exists
-             (fun f -> num p f = None)
-             [ "offered_per_s"; "latency_p50_s"; "latency_p90_s";
-               "latency_p99_s"; "unattributed_s"; "coverage" ]
-           || Trace.Json.member "phases_s" p = None
-           || Trace.Json.member "stages_s" p = None
-         in
-         if List.exists bad_point points then
-           Error
-             "a point lacks a latency percentile, coverage, or the \
-              phases_s/stages_s breakdown"
-         else begin
-           let low =
-             List.filter
-               (fun p ->
-                 match num p "coverage" with
-                 | Some c -> c < min_coverage
-                 | None -> true)
-               points
-           in
-           if low <> [] then
-             Error
-               (Printf.sprintf
-                  "%d point(s) attribute less than %.2f of measured latency"
-                  (List.length low) min_coverage)
-           else
-             Ok
-               (Printf.sprintf "%d points, all with phase attribution"
-                  (List.length points))
-         end)
-    | Some other -> Error (Printf.sprintf "unknown format %S" other)
-    | None -> Error "missing \"format\" field"
-  in
-  let run file min_points min_coverage =
-    match Trace.Json.parse (read_file file) with
-    | Error e ->
-      Printf.eprintf "%s: INVALID: not JSON: %s\n" file e;
-      exit 1
-    | Ok doc ->
-      (match check min_points min_coverage doc with
-       | Ok msg -> Printf.printf "%s: valid latency report, %s\n" file msg
-       | Error msg ->
-         Printf.eprintf "%s: INVALID latency report: %s\n" file msg;
-         exit 1)
-  in
-  let file =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"BENCH_latency.json file to validate.")
-  in
-  let min_points =
-    Arg.(value & opt int 3
-         & info [ "min-points" ] ~docv:"N"
-             ~doc:"Fail unless the report carries at least $(docv) offered \
-                   loads.")
-  in
-  let min_coverage =
-    Arg.(value & opt float 0.0
-         & info [ "min-coverage" ] ~docv:"X"
-             ~doc:"Fail unless every point attributes at least fraction \
-                   $(docv) of its measured latency.")
-  in
-  Cmd.v
-    (Cmd.info "latency-check"
-       ~doc:"Validate a BENCH_latency.json report: parses, carries enough \
-             offered-load points, and each point's critical-path \
-             attribution meets the coverage floor.")
-    Term.(const run $ file $ min_points $ min_coverage)
 
 (* --- explore: the vopr seed-sweeping schedule explorer --- *)
 
@@ -868,14 +716,7 @@ let explore_cmd =
       verbose =
     let runner ~seed sched = Vopr.Workload.run ~kind ~seed sched in
     let oracles = Vopr.Oracle.all kind in
-    let generate ~run_seed =
-      (* The durable workload scripts a power failure of party 3 itself,
-         which spends the whole t=1 fault budget: its generated schedules
-         carry only benign noise (delays, dups, replays). *)
-      let max_faulty = if kind = Vopr.Oracle.Durable then 0 else 1 in
-      Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty
-        ~allow_equiv:(Vopr.Workload.byz_supported kind)
-    in
+    let generate = Vopr.Workload.schedule ~kind in
     match (mutations, index) with
     | Some muts, _ ->
       (* Replay one run under an explicit schedule (a repro line). *)
@@ -941,21 +782,11 @@ let explore_cmd =
       if report.Vopr.Explorer.failures <> [] then exit 1
   in
   let workload =
-    let workload_conv =
-      Arg.enum
-        [ ("reliable", Vopr.Oracle.Reliable);
-          ("consistent", Vopr.Oracle.Consistent); ("aba", Vopr.Oracle.Aba);
-          ("mvba", Vopr.Oracle.Mvba); ("atomic", Vopr.Oracle.Atomic);
-          ("secure", Vopr.Oracle.Secure);
-          ("throughput", Vopr.Oracle.Throughput);
-          ("pipeline", Vopr.Oracle.Pipeline);
-          ("crypto-amortized", Vopr.Oracle.Amortized);
-          ("durable", Vopr.Oracle.Durable) ]
-    in
-    Arg.(value & opt workload_conv Vopr.Oracle.Atomic
+    let names = List.map Vopr.Oracle.kind_to_string Vopr.Oracle.kinds in
+    Arg.(value
+         & opt (enum (List.combine names Vopr.Oracle.kinds)) Vopr.Oracle.Atomic
          & info [ "workload" ] ~docv:"KIND"
-             ~doc:"reliable, consistent, aba, mvba, atomic, secure, \
-                   throughput, pipeline, crypto-amortized or durable.")
+             ~doc:("One of: " ^ String.concat ", " names ^ "."))
   in
   let seeds =
     Arg.(value & opt int 100
@@ -1004,383 +835,9 @@ let explore_cmd =
     Term.(const run $ workload $ seeds $ base_seed $ index $ mutations
           $ max_failures $ shrink_budget $ progress $ verbose)
 
-(* --- perf-check: validate BENCH_perf.json written by `bench/main.exe perf` --- *)
-
-let perf_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
-  (* Floors on the speedups the docs claim: the DLEQ fast path must beat
-     the reference by 1.5x everywhere.  The batch-verification claims are
-     stated at the paper's 1024-bit moduli — there one k-share batch
-     verification must beat k single reference verifications by 3x for
-     Shoup signature shares and by 2x for coin (DLEQ) shares (whose
-     reference singles are cheaper relative to the batch's fixed costs).
-     At the 512-bit quick-smoke size the proof transcripts are half as
-     wide, so the amortization is structurally smaller and the floors
-     relax accordingly. *)
-  let floors ~(speedup_bits : int) =
-    if speedup_bits >= 1024 then
-      [ ("dleq_verify", 1.5); ("tsig_batch_verify", 3.0); ("coin_batch_verify", 2.0) ]
-    else
-      [ ("dleq_verify", 1.5); ("tsig_batch_verify", 2.0); ("coin_batch_verify", 1.5) ]
-  in
-  let check ~(require_bits : int option) (doc : Trace.Json.value)
-      : (string, string) result =
-    let str f = Option.bind (Trace.Json.member f doc) Trace.Json.str_opt in
-    let num v f = Option.bind (Trace.Json.member f v) Trace.Json.num_opt in
-    match str "schema" with
-    | Some "sintra-bench-perf-v2" ->
-      (match Option.bind (Trace.Json.member "results" doc) Trace.Json.list_opt with
-       | None -> Error "missing \"results\" array"
-       | Some results ->
-         let bad_result =
-           List.exists
-             (fun r ->
-               Option.bind (Trace.Json.member "name" r) Trace.Json.str_opt = None
-               || num r "mod_bits" = None
-               || num r "ms_per_op" = None)
-             results
-         in
-         let bits_of r = match num r "mod_bits" with Some b -> int_of_float b | None -> 0 in
-         if results = [] then Error "empty \"results\" array"
-         else if bad_result then
-           Error "a result lacks \"name\", numeric \"mod_bits\" or \"ms_per_op\""
-         else begin
-           match require_bits with
-           | Some bits when not (List.exists (fun r -> bits_of r = bits) results) ->
-             Error (Printf.sprintf "no result rows at the required %d-bit modulus" bits)
-           | Some bits
-             when (match num doc "speedup_mod_bits" with
-                   | Some b -> int_of_float b < bits
-                   | None -> true) ->
-             Error
-               (Printf.sprintf
-                  "speedups are not quoted at the required %d-bit modulus" bits)
-           | Some _ | None ->
-             (match Trace.Json.member "speedups" doc with
-              | None -> Error "missing \"speedups\" object"
-              | Some sp ->
-                let missing =
-                  List.filter
-                    (fun k -> num sp k = None)
-                    [ "montgomery"; "multi_exp"; "fixed_base"; "dleq_verify";
-                      "tsig_batch_verify"; "coin_batch_verify" ]
-                in
-                if missing <> [] then
-                  Error ("speedups missing: " ^ String.concat ", " missing)
-                else begin
-                  let speedup_bits =
-                    match num doc "speedup_mod_bits" with
-                    | Some b -> int_of_float b
-                    | None -> 0
-                  in
-                  let below =
-                    List.filter_map
-                      (fun (k, floor) ->
-                        match num sp k with
-                        | Some s when s >= floor -> None
-                        | Some s ->
-                          Some (Printf.sprintf "%s %.2fx < %.1fx floor" k s floor)
-                        | None -> Some (k ^ " is not a number"))
-                      (floors ~speedup_bits)
-                  in
-                  if below <> [] then Error (String.concat "; " below)
-                  else
-                    let bits_list =
-                      List.sort_uniq compare (List.map bits_of results)
-                    in
-                    Ok (Printf.sprintf
-                          "%d results at %s-bit moduli; dleq %.2fx, tsig batch \
-                           %.2fx, coin batch %.2fx (at %.0f bits)"
-                          (List.length results)
-                          (String.concat "/" (List.map string_of_int bits_list))
-                          (Option.value ~default:0.0 (num sp "dleq_verify"))
-                          (Option.value ~default:0.0 (num sp "tsig_batch_verify"))
-                          (Option.value ~default:0.0 (num sp "coin_batch_verify"))
-                          (Option.value ~default:0.0 (num doc "speedup_mod_bits")))
-                end)
-         end)
-    | Some other ->
-      Error (Printf.sprintf "unknown schema %S (expected \"sintra-bench-perf-v2\")" other)
-    | None -> Error "missing \"schema\" field"
-  in
-  let run require_bits file =
-    match Trace.Json.parse (read_file file) with
-    | Error e ->
-      Printf.eprintf "%s: INVALID: not JSON: %s\n" file e;
-      exit 1
-    | Ok doc ->
-      (match check ~require_bits doc with
-       | Ok msg -> Printf.printf "%s: valid perf report, %s\n" file msg
-       | Error msg ->
-         Printf.eprintf "%s: INVALID perf report: %s\n" file msg;
-         exit 1)
-  in
-  let require_bits =
-    Arg.(value & opt (some int) None
-         & info [ "require-bits" ] ~docv:"BITS"
-             ~doc:"Require at least one result row at this modulus size \
-                   (the committed full report must carry the paper's \
-                   1024-bit rows; quick smoke reports need not).")
-  in
-  let file =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"BENCH_perf.json file to validate.")
-  in
-  Cmd.v
-    (Cmd.info "perf-check"
-       ~doc:"Validate a BENCH_perf.json fast-path report (v2 shape with \
-             per-row mod_bits, the 1.5x DLEQ-verification floor, and the \
-             3x batch-verification floors).")
-    Term.(const run $ require_bits $ file)
-
-(* --- bench-throughput: the latency-vs-offered-load sweep --- *)
-
-let bench_throughput_cmd =
-  let run smoke out duration rates clients seed =
-    let rates = match rates with [] -> None | rs -> Some rs in
-    let report =
-      Load.Sweep.run ~smoke ?duration ?rates ?clients_per_party:clients ~seed
-        ()
-    in
-    List.iter
-      (fun (s : Load.Sweep.series) ->
-        Printf.printf
-          "n=%d %-9s saturation %7.1f req/s  (%d rounds, %d delivered)\n"
-          s.Load.Sweep.n
-          (if s.Load.Sweep.batched then "batched" else "unbatched")
-          s.Load.Sweep.saturation.Load.Sweep.throughput_per_s
-          s.Load.Sweep.rounds s.Load.Sweep.saturation.Load.Sweep.delivered)
-      report.Load.Sweep.series;
-    (match
-       ( Load.Sweep.saturation_throughput report ~n:4 ~batched:true,
-         Load.Sweep.saturation_throughput report ~n:4 ~batched:false )
-     with
-     | Some b, Some u when u > 0.0 ->
-       Printf.printf "n=4 batched/unbatched saturation ratio: %.2fx\n" (b /. u)
-     | _ -> ());
-    write_file out (Load.Sweep.to_json report);
-    Printf.printf "wrote %s\n" out
-  in
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"CI-sized sweep: n=4 only, 2 virtual seconds per point, \
-                   a single offered rate.")
-  in
-  let out =
-    Arg.(value & opt string "BENCH_throughput.json"
-         & info [ "out" ] ~docv:"FILE" ~doc:"Output report path.")
-  in
-  let duration =
-    Arg.(value & opt (some float) None
-         & info [ "duration" ] ~docv:"SECONDS"
-             ~doc:"Virtual seconds per measurement point (default 10, or 2 \
-                   with --smoke).")
-  in
-  let rates =
-    Arg.(value & opt (list float) []
-         & info [ "rates" ] ~docv:"R1,R2,..."
-             ~doc:"Offered-rate ladder in requests per virtual second \
-                   (default 5,10,20,40,80, or a single rate with --smoke); \
-                   lets a report be reproduced byte for byte from the \
-                   command line.")
-  in
-  let clients =
-    Arg.(value & opt (some int) None
-         & info [ "clients" ] ~docv:"N"
-             ~doc:"Closed-loop clients per party for the saturation probe \
-                   (default 64).")
-  in
-  let seed =
-    Arg.(value & opt string "throughput"
-         & info [ "seed" ] ~docv:"SEED" ~doc:"Determinism seed.")
-  in
-  Cmd.v
-    (Cmd.info "bench-throughput"
-       ~doc:"Measure atomic-broadcast throughput, batched vs unbatched \
-             (--no-batching semantics): open-loop latency-vs-offered-load \
-             curves plus a closed-loop saturation probe, written as \
-             BENCH_throughput.json.")
-    Term.(const run $ smoke $ out $ duration $ rates $ clients $ seed)
-
-(* --- adaptive-check: AIMD batch-cap convergence under a bursty load --- *)
-
-let adaptive_check_cmd =
-  let run seed max_batch =
-    (* A bursty closed-loop workload on the benchmark configuration: the
-       adaptive cap must rise above its floor while the backlog is deep,
-       and must never leave [min 8 max_batch, max_batch]. *)
-    let cfg = Load.Sweep.sweep_cfg ~n:4 ~t:1 ~max_batch () in
-    let c = Load.Sweep.make_cluster ~seed:("adaptive|" ^ seed) cfg in
-    let chans =
-      Array.init 4 (fun i ->
-        Atomic_channel.create (Cluster.runtime c i) ~pid:"adapt"
-          ~on_deliver:(fun ~sender:_ _ -> ()) ())
-    in
-    for wave = 0 to 7 do
-      Cluster.at c ~time:(0.01 +. (0.25 *. float_of_int wave)) (fun () ->
-        for i = 0 to 3 do
-          Cluster.inject c i (fun () ->
-            for k = 0 to 5 do
-              Atomic_channel.send chans.(i)
-                (Printf.sprintf "m%d.%d.%d" i wave k)
-            done)
-        done)
-    done;
-    let floor = min 8 max_batch in
-    let hi = ref 0 and lo = ref max_int in
-    for k = 1 to 750 do
-      Cluster.at c ~time:(float_of_int k *. 0.02) (fun () ->
-        let cap = Atomic_channel.batch_limit chans.(0) in
-        if cap > !hi then hi := cap;
-        if cap < !lo then lo := cap)
-    done;
-    ignore (Cluster.run c ~until:300.0);
-    let delivered = Atomic_channel.deliveries chans.(0) in
-    Printf.printf
-      "adaptive-check: cap ranged [%d, %d] (floor %d, ceiling %d), %d \
-       payloads delivered\n"
-      !lo !hi floor max_batch delivered;
-    let ok =
-      !lo >= floor && !hi <= max_batch && !hi > floor && delivered = 192
-    in
-    if not ok then begin
-      Printf.eprintf
-        "adaptive-check: FAILED (want floor <= cap <= ceiling, growth \
-         above the floor, and all 192 payloads)\n";
-      exit 1
-    end
-  in
-  let seed =
-    Arg.(value & opt string "adaptive"
-         & info [ "seed" ] ~docv:"SEED" ~doc:"Determinism seed.")
-  in
-  let max_batch =
-    Arg.(value & opt int 256
-         & info [ "max-batch" ] ~docv:"B"
-             ~doc:"Vector-cap ceiling for the run (default 256).")
-  in
-  Cmd.v
-    (Cmd.info "adaptive-check"
-       ~doc:"Drive a bursty atomic-broadcast workload and verify the \
-             adaptive batch cap converges between its AIMD floor and the \
-             max-batch ceiling.")
-    Term.(const run $ seed $ max_batch)
-
-(* --- throughput-check: validate BENCH_throughput.json --- *)
-
-let throughput_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
-  let check (min_ratio : float) (doc : Trace.Json.value) :
-      (string, string) result =
-    let str v f = Option.bind (Trace.Json.member f v) Trace.Json.str_opt in
-    let num v f = Option.bind (Trace.Json.member f v) Trace.Json.num_opt in
-    match str doc "format" with
-    | Some "sintra-bench-throughput-v1" ->
-      (match Option.bind (Trace.Json.member "series" doc) Trace.Json.list_opt with
-       | None -> Error "missing \"series\" array"
-       | Some [] -> Error "empty \"series\" array"
-       | Some series ->
-         let modes =
-           List.filter_map (fun s -> str s "mode") series |> List.sort_uniq compare
-         in
-         if not (List.mem "batched" modes && List.mem "unbatched" modes) then
-           Error
-             (Printf.sprintf "need both modes, found: %s"
-                (String.concat ", " modes))
-         else begin
-           let bad =
-             List.exists
-               (fun s ->
-                 num s "n" = None
-                 || (match
-                       Option.bind (Trace.Json.member "points" s)
-                         Trace.Json.list_opt
-                     with
-                     | Some (_ :: _) -> false
-                     | _ -> true)
-                 || (match Trace.Json.member "saturation" s with
-                     | Some sat -> num sat "throughput_per_s" = None
-                     | None -> true))
-               series
-           in
-           if bad then
-             Error
-               "a series lacks \"n\", a non-empty \"points\" array, or a \
-                \"saturation\" point"
-           else begin
-             match
-               Option.bind (Trace.Json.member "crossover" doc) (fun c ->
-                 num c "ratio")
-             with
-             | None -> Error "missing \"crossover\" with numeric \"ratio\""
-             | Some ratio when ratio >= min_ratio ->
-               Ok
-                 (Printf.sprintf
-                    "%d series, both modes, batched/unbatched saturation \
-                     ratio %.2fx"
-                    (List.length series) ratio)
-             | Some ratio ->
-               Error
-                 (Printf.sprintf
-                    "saturation ratio %.2fx is below the %.2fx floor" ratio
-                    min_ratio)
-           end
-         end)
-    | Some other -> Error (Printf.sprintf "unknown format %S" other)
-    | None -> Error "missing \"format\" field"
-  in
-  let run file min_ratio =
-    match Trace.Json.parse (read_file file) with
-    | Error e ->
-      Printf.eprintf "%s: INVALID: not JSON: %s\n" file e;
-      exit 1
-    | Ok doc ->
-      (match check min_ratio doc with
-       | Ok msg -> Printf.printf "%s: valid throughput report, %s\n" file msg
-       | Error msg ->
-         Printf.eprintf "%s: INVALID throughput report: %s\n" file msg;
-         exit 1)
-  in
-  let file =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"BENCH_throughput.json file to validate.")
-  in
-  let min_ratio =
-    Arg.(value & opt float 1.0
-         & info [ "min-ratio" ] ~docv:"X"
-             ~doc:"Fail unless the batched/unbatched saturation ratio is at \
-                   least $(docv) (the committed full-run report is held to \
-                   10.0).")
-  in
-  Cmd.v
-    (Cmd.info "throughput-check"
-       ~doc:"Validate a BENCH_throughput.json report: parses, carries both \
-             batched and unbatched series with data points, and meets the \
-             saturation-ratio floor.")
-    Term.(const run $ file $ min_ratio)
-
 (* --- store-check: validate write-ahead log files --- *)
 
 let store_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let run verbose files =
     let failed = ref false in
     List.iter
@@ -1457,196 +914,10 @@ let store_check_cmd =
              digest mismatch fails with exit 1.")
     Term.(const run $ verbose $ files)
 
-(* --- durability-check: the durability layer's end-to-end gate --- *)
-
-let durability_check_cmd =
-  let run topo seed rounds interval =
-    if interval <= 0 then begin
-      prerr_endline "sintra_sim durability-check: --checkpoint-interval must be positive";
-      exit 2
-    end;
-    let n = Sim.Topology.n topo in
-    let pipeline_depth = 4 in
-    (* One variant of the run: same cluster, same seed, same injected
-       traffic; [durable] additionally attaches the durability layer to
-       every party and, after traffic has drained, power-fails the last
-       party with a WIPED device — its restart must adopt a peer snapshot,
-       not replay history it no longer has. *)
-    let run_variant ~(durable : bool) =
-      let c = make_cluster ~seed ~scheme:Config.Multi topo in
-      let deliveries : (int * string) list ref = ref [] in
-      let backlog_peak = ref 0 in
-      let devs = Array.init n (fun _ -> Store.Device.mem ()) in
-      let durs : Durable.t list ref array = Array.init n (fun _ -> ref []) in
-      let chans : Atomic_channel.t option array = Array.make n None in
-      let make_party i =
-        let rt = Cluster.runtime c i in
-        let ch =
-          Atomic_channel.create rt ~pid:"dchk"
-            ~on_deliver:(fun ~sender m ->
-              if i = 0 then deliveries := (sender, m) :: !deliveries)
-            ()
-        in
-        if durable then begin
-          let d =
-            Durable.attach rt ~chan:ch ~pid:"dchk" ~dev:devs.(i) ~interval ()
-          in
-          durs.(i) := d :: !(durs.(i))
-        end;
-        chans.(i) <- Some ch
-      in
-      for i = 0 to n - 1 do
-        make_party i;
-        Runtime.on_rebuild (Cluster.runtime c i) (fun () -> make_party i)
-      done;
-      (* Phase 1: drive the history one round per injected payload —
-         inject, drain, repeat, round-robin over the senders.  Draining
-         between payloads keeps the round count exact (independent of
-         topology and adaptive batching), so --rounds really is the
-         history length.  Identical in both variants, so delivery order
-         must match byte for byte. *)
-      let events = ref 0 in
-      for k = 0 to rounds - 1 do
-        let p = k mod n in
-        let payload = Printf.sprintf "p%d.m%d" p k in
-        Cluster.inject c p (fun () ->
-          match chans.(p) with
-          | Some ch -> Atomic_channel.send ch payload
-          | None -> ());
-        events := !events + Cluster.run c;
-        match chans.(0) with
-        | Some ch ->
-          backlog_peak :=
-            Stdlib.max !backlog_peak (Atomic_channel.backlog_rounds ch)
-        | None -> ()
-      done;
-      (* Phase 2 (durable only): power-fail the last party at the drained
-         tip with a WIPED device, restart it, and drain the recovery — the
-         rebuild happens "at round N", after the full history. *)
-      if durable then begin
-        let victim = n - 1 in
-        Runtime.crash (Cluster.runtime c victim);
-        Store.Device.rewrite devs.(victim) "";
-        Runtime.recover (Cluster.runtime c victim);
-        events := !events + Cluster.run c
-      end;
-      (List.rev !deliveries, !backlog_peak, !events, devs, durs, chans)
-    in
-    let plain_log, plain_peak, plain_events, _, _, _ =
-      run_variant ~durable:false
-    in
-    let dur_log, dur_peak, dur_events, devs, durs, chans =
-      run_variant ~durable:true
-    in
-    Printf.printf
-      "durability-check topology=%s seed=%s: %d rounds, checkpoint interval %d\n"
-      topo.Sim.Topology.label seed rounds interval;
-    Printf.printf "  plain:   %7d events, %4d deliveries at p0, backlog peak %d\n"
-      plain_events (List.length plain_log) plain_peak;
-    Printf.printf "  durable: %7d events, %4d deliveries at p0, backlog peak %d\n"
-      dur_events (List.length dur_log) dur_peak;
-    (match (chans.(0), !(durs.(0))) with
-     | Some ch, d0 :: _ ->
-       Printf.printf
-         "  history: %d round(s), stable checkpoint %s, GC floor %d, p0 log \
-          %dB\n"
-         (Atomic_channel.current_round ch)
-         (match Durable.stable_checkpoint d0 with
-          | Some cp -> string_of_int cp.Store.Checkpoint.round
-          | None -> "none")
-         (Atomic_channel.gc_floor ch)
-         (Store.Device.size devs.(0))
-     | _ -> ());
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    (* 1. The storage plane must not perturb the protocol schedule: the
-       delivery sequence at party 0 is byte-identical with and without the
-       durability layer. *)
-    if plain_log <> dur_log then begin
-      let describe log =
-        String.concat " "
-          (List.map (fun (s, m) -> Printf.sprintf "%d:%s" s m) log)
-      in
-      fail "delivery order diverged between the plain and durable runs";
-      Printf.printf "    plain:   %s\n    durable: %s\n" (describe plain_log)
-        (describe dur_log)
-    end
-    else Printf.printf "  delivery order: byte-identical across variants\n";
-    (* 2. Checkpoint GC keeps the resident DECIDED backlog bounded by the
-       checkpoint interval (plus one interval of straggler slack and the
-       pipeline window), independent of history length. *)
-    let bound = (2 * interval) + (2 * pipeline_depth) + 4 in
-    if dur_peak > bound then
-      fail "durable backlog peak %d exceeds the bound %d" dur_peak bound
-    else Printf.printf "  backlog bound:  peak %d <= %d\n" dur_peak bound;
-    (* 3. The wiped party's restart adopted a verified peer snapshot and
-       caught up without a full-history replay. *)
-    let victim = n - 1 in
-    (match !(durs.(victim)) with
-     | newest :: _ :: _ ->
-       if Durable.restored_from newest <> -1 then
-         fail "rebuilt p%d restored from a wiped disk (impossible)" victim;
-       if Durable.snapshots_adopted newest < 1 then
-         fail "rebuilt p%d adopted no peer snapshot" victim;
-       let tip p =
-         match chans.(p) with
-         | Some ch -> Atomic_channel.current_round ch
-         | None -> -1
-       in
-       if tip victim < tip 0 then
-         fail "rebuilt p%d stopped at round %d, cluster is at %d" victim
-           (tip victim) (tip 0);
-       if !failures = [] then
-         Printf.printf
-           "  rebuilt p%d:    adopted a verified snapshot (stable round %s), \
-            caught up to round %d\n"
-           victim
-           (match Durable.stable_checkpoint newest with
-            | Some cp -> string_of_int cp.Store.Checkpoint.round
-            | None -> "-")
-           (tip victim)
-     | _ -> fail "p%d was never rebuilt" victim);
-    (* 4. Log round-trip: re-encoding party 0's parsed log reproduces the
-       device bytes exactly. *)
-    let rp = Store.Log.replay devs.(0) in
-    let reenc =
-      String.concat "" (List.map Store.Log.frame rp.Store.Log.records)
-    in
-    if rp.Store.Log.status <> Store.Log.Complete then
-      fail "p0's log did not parse to completion"
-    else if reenc <> Store.Device.contents devs.(0) then
-      fail "re-encoding p0's parsed log does not reproduce the device bytes"
-    else
-      Printf.printf "  log round-trip: %d record(s), byte-identical re-encoding\n"
-        (List.length rp.Store.Log.records);
-    if !failures <> [] then begin
-      List.iter (Printf.eprintf "INVALID: %s\n") (List.rev !failures);
-      exit 1
-    end
-  in
-  let rounds =
-    Arg.(value & opt int 48
-         & info [ "rounds" ] ~docv:"N"
-             ~doc:"History length in atomic-broadcast rounds (one payload \
-                   per round).")
-  in
-  Cmd.v
-    (Cmd.info "durability-check"
-       ~doc:"End-to-end durability gate: runs the same seed with and \
-             without the durability layer and checks byte-identical \
-             delivery order, a bounded DECIDED backlog, snapshot adoption \
-             by a party restarted on a wiped disk, and a byte-exact log \
-             round-trip.")
-    Term.(const run $ topology_arg $ seed_arg $ rounds
-          $ checkpoint_interval_arg ~default:8)
-
 let () =
   let doc = "SINTRA: secure intrusion-tolerant replication (DSN 2002), simulated" in
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "sintra_sim" ~doc)
           [ run_cmd; agree_cmd; explore_cmd; topologies_cmd; crypto_cmd;
-            trace_check_cmd; critical_path_cmd; perf_check_cmd;
-            bench_throughput_cmd; throughput_check_cmd; adaptive_check_cmd;
-            bench_latency_cmd; latency_check_cmd; store_check_cmd;
-            durability_check_cmd ]))
+            trace_check_cmd; critical_path_cmd; store_check_cmd ]))

@@ -95,13 +95,9 @@ let run_point ~(seed : string) ~(cfg : Config.t) ~(duration : float)
     coverage = rep.Trace.Causal.r_coverage;
   }
 
-let run ?(smoke = false) ?n ?t ?duration ?rates ?(max_batch = 256)
-    ?(seed = "latency") () : report =
-  let n = match n with Some n -> n | None -> 4 in
-  let t = match t with Some t -> t | None -> 1 in
-  let duration =
-    match duration with Some d -> d | None -> if smoke then 1.0 else 8.0
-  in
+let run ?(smoke = false) ?rates ?(seed = "latency") () : report =
+  let n = 4 and t = 1 and max_batch = 256 in
+  let duration = if smoke then 1.0 else 8.0 in
   let rates =
     match rates with
     | Some r -> r
@@ -118,28 +114,26 @@ let run ?(smoke = false) ?n ?t ?duration ?rates ?(max_batch = 256)
   in
   { smoke; n; t; duration_s = duration; points }
 
-(* --- JSON rendering (sintra-bench-latency-v1) --- *)
+(* --- ledger rows --- *)
 
-let json_fields (fields : (string * float) list) : string
-    =
-  String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "%S:%.6g" k v) fields)
-
-let json_point (p : point) : string =
-  Printf.sprintf
-    "{\"offered_per_s\":%.6g,\"issued\":%d,\"completed\":%d,\"payloads\":%d,\
-     \"latency_p50_s\":%.6g,\"latency_p90_s\":%.6g,\"latency_p99_s\":%.6g,\
-     \"hops_mean\":%.6g,\"phases_s\":{%s},\"stages_s\":{%s},\
-     \"unattributed_s\":%.6g,\"coverage\":%.6g}"
-    p.offered_per_s p.issued p.completed p.payloads p.latency_p50_s
-    p.latency_p90_s p.latency_p99_s p.hops_mean
-    (json_fields p.phases_s)
-    (json_fields p.stages_s)
-    p.unattributed_s p.coverage
-
-let to_json (r : report) : string =
-  Printf.sprintf
-    "{\n\"format\":\"sintra-bench-latency-v1\",\n\"smoke\":%b,\n\"n\":%d,\n\
-     \"t\":%d,\n\"duration_s\":%.6g,\n\"points\":[\n%s\n]\n}\n"
-    r.smoke r.n r.t r.duration_s
-    (String.concat ",\n" (List.map json_point r.points))
+let ledger (r : report) : Ledger.t =
+  let point_rows p =
+    let params = [ ("offered", Ledger.num p.offered_per_s) ] in
+    let row = Ledger.row ~params "channel" in
+    [ row "issued" "requests" (float_of_int p.issued);
+      row "completed" "requests" (float_of_int p.completed);
+      row "payloads" "payloads" (float_of_int p.payloads);
+      row "latency_p50_s" "s" p.latency_p50_s;
+      row "latency_p90_s" "s" p.latency_p90_s;
+      row "latency_p99_s" "s" p.latency_p99_s;
+      row "hops_mean" "messages" p.hops_mean ]
+    @ List.map (fun (k, v) -> Ledger.row ~params "phase" k "s" v) p.phases_s
+    @ List.map (fun (k, v) -> Ledger.row ~params "stage" k "s" v) p.stages_s
+    @ [ row "unattributed_s" "s" p.unattributed_s;
+        row "coverage" "ratio" p.coverage ]
+  in
+  Ledger.make ~bench:"latency" ~full:(not r.smoke)
+    ~params:
+      [ ("n", string_of_int r.n); ("t", string_of_int r.t);
+        ("duration_s", Ledger.num r.duration_s) ]
+    (List.concat_map point_rows r.points)

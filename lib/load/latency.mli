@@ -35,15 +35,16 @@ type report = {
   points : point list;  (** one per offered rate, ascending *)
 }
 
-val run :
-  ?smoke:bool -> ?n:int -> ?t:int -> ?duration:float -> ?rates:float list ->
-  ?max_batch:int -> ?seed:string -> unit -> report
-(** Run the bench.  Defaults: [n = 4], [t = 1]; full mode measures 8
-    virtual seconds per point over rates [{5, 10, 20, 40, 80}] requests/s,
-    [~smoke:true] shrinks this to 1 virtual second over [{10, 20, 40}] so
-    the whole bench finishes in CI time.  [max_batch] caps the channel's
-    payload batching (default 256). *)
+val run : ?smoke:bool -> ?rates:float list -> ?seed:string -> unit -> report
+(** Run the bench at [n = 4], [t = 1], [max_batch = 256].  Full mode
+    measures 8 virtual seconds per point over rates [{5, 10, 20, 40, 80}]
+    requests/s, [~smoke:true] 1 virtual second over [{10, 20, 40}] so the
+    whole bench finishes in CI time; [rates] overrides either ladder.
+    [seed] defaults to ["latency"]. *)
 
-val to_json : report -> string
-(** Render the report in the [sintra-bench-latency-v1] schema (see
-    OPERATIONS.md).  Byte-deterministic for a given seed. *)
+val ledger : report -> Ledger.t
+(** The report as latency-bench ledger rows, keyed by each point's
+    [offered] rate: the percentiles and [coverage] under layer [channel],
+    the phase breakdown under [phase] and the stage breakdown under
+    [stage].  Byte-deterministic for a given seed when rendered with
+    {!Ledger.to_string}. *)

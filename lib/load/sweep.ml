@@ -161,21 +161,14 @@ let run_series ~(seed : string) ~(n : int) ~(t : int) ~(batched : bool)
   in
   { n; t; batched; points; saturation; rounds }
 
-let run ?(smoke = false) ?sizes ?duration ?rates ?(clients_per_party = 64)
-    ?(max_batch = 256) ?(seed = "throughput") () : report =
-  let sizes =
-    match sizes with
-    | Some s -> s
-    | None -> if smoke then [ (4, 1) ] else [ (4, 1); (7, 2); (10, 3) ]
-  in
-  let duration =
-    match duration with Some d -> d | None -> if smoke then 2.0 else 10.0
-  in
-  let rates =
-    match rates with
-    | Some r -> r
-    | None -> if smoke then [ 20.0 ] else [ 5.0; 10.0; 20.0; 40.0; 80.0 ]
-  in
+let run ?(smoke = false) () : report =
+  let sizes = if smoke then [ (4, 1) ] else [ (4, 1); (7, 2); (10, 3) ] in
+  let duration = if smoke then 2.0 else 10.0 in
+  let rates = if smoke then [ 20.0 ] else [ 5.0; 10.0; 20.0; 40.0; 80.0 ] in
+  (* 64 closed-loop clients per party keep enough requests outstanding
+     that the pipelined, batched channel saturates on round cost rather
+     than on the population bound. *)
+  let seed = "throughput" and clients_per_party = 64 and max_batch = 256 in
   let series =
     List.concat_map
       (fun (n, t) ->
@@ -196,45 +189,49 @@ let saturation_throughput (r : report) ~(n : int) ~(batched : bool) :
       else None)
     r.series
 
-(* --- JSON rendering (sintra-bench-throughput-v1) --- *)
+(* --- ledger rows --- *)
 
-let json_point (p : point) : string =
-  Printf.sprintf
-    "{\"offered_per_s\":%.6g,\"issued\":%d,\"completed\":%d,\"delivered\":%d,\
-     \"throughput_per_s\":%.6g,\"latency_mean_s\":%.6g,\"latency_p50_s\":%.6g,\
-     \"latency_p90_s\":%.6g}"
-    p.offered_per_s p.issued p.completed p.delivered p.throughput_per_s
-    p.latency_mean_s p.latency_p50_s p.latency_p90_s
+let point_rows (params : (string * string) list) (p : point) : Ledger.row list =
+  let row = Ledger.row ~params "channel" in
+  [ row "offered_per_s" "req/s" p.offered_per_s;
+    row "issued" "requests" (float_of_int p.issued);
+    row "completed" "requests" (float_of_int p.completed);
+    row "delivered" "payloads" (float_of_int p.delivered);
+    row "throughput_per_s" "req/s" p.throughput_per_s;
+    row "latency_mean_s" "s" p.latency_mean_s;
+    row "latency_p50_s" "s" p.latency_p50_s;
+    row "latency_p90_s" "s" p.latency_p90_s ]
 
-let json_series (s : series) : string =
-  Printf.sprintf
-    "{\"n\":%d,\"t\":%d,\"mode\":%S,\"points\":[%s],\"saturation\":%s,\
-     \"rounds\":%d}"
-    s.n s.t
-    (if s.batched then "batched" else "unbatched")
-    (String.concat "," (List.map json_point s.points))
-    (json_point s.saturation) s.rounds
-
-let to_json (r : report) : string =
-  let crossover =
-    match r.series with
-    | [] -> "null"
-    | first :: _ ->
-      let n = first.n in
-      (match
-         ( saturation_throughput r ~n ~batched:true,
-           saturation_throughput r ~n ~batched:false )
-       with
-       | Some b, Some u when u > 0.0 ->
-         Printf.sprintf
-           "{\"n\":%d,\"batched_saturation_per_s\":%.6g,\
-            \"unbatched_saturation_per_s\":%.6g,\"ratio\":%.6g}"
-           n b u (b /. u)
-       | _ -> "null")
+let ledger (r : report) : Ledger.t =
+  let series_rows s =
+    let base =
+      [ ("n", string_of_int s.n); ("t", string_of_int s.t);
+        ("mode", if s.batched then "batched" else "unbatched") ]
+    in
+    let closed = base @ [ ("load", "closed") ] in
+    List.concat_map
+      (fun p ->
+        point_rows (base @ [ ("load", "open"); ("offered", Ledger.num p.offered_per_s) ]) p)
+      s.points
+    @ point_rows closed s.saturation
+    @ [ Ledger.row ~params:closed "channel" "rounds" "rounds"
+          (float_of_int s.rounds) ]
   in
-  Printf.sprintf
-    "{\n\"format\":\"sintra-bench-throughput-v1\",\n\"smoke\":%b,\n\
-     \"duration_s\":%.6g,\n\"series\":[\n%s\n],\n\"crossover\":%s\n}\n"
-    r.smoke r.duration_s
-    (String.concat ",\n" (List.map json_series r.series))
-    crossover
+  let ratios =
+    List.filter_map
+      (fun s ->
+        match
+          ( s.batched,
+            saturation_throughput r ~n:s.n ~batched:true,
+            saturation_throughput r ~n:s.n ~batched:false )
+        with
+        | true, Some b, Some u when u > 0.0 ->
+          Some
+            (Ledger.row ~params:[ ("n", string_of_int s.n) ] "channel"
+               "saturation_ratio" "x" (b /. u))
+        | _ -> None)
+      r.series
+  in
+  Ledger.make ~bench:"throughput" ~full:(not r.smoke)
+    ~params:[ ("duration_s", Ledger.num r.duration_s) ]
+    (List.concat_map series_rows r.series @ ratios)

@@ -481,7 +481,21 @@ let adoptable_items (t : t) (round : int) : item list =
    round r — then we join it, with our undelivered prefix if we have one,
    adopting their undelivered payloads or contributing an empty vector
    otherwise.  Never start a round unprompted, or idle parties would spin
-   empty (or redundant) rounds forever. *)
+   empty (or redundant) rounds forever — except a stalled base round. *)
+(* The base round is stalled when a later round we proposed in has
+   decided: the group has moved past it, yet the base round lacks our
+   INIT, so its starter's INIT reached too few of us (a Byzantine starter
+   can send it to a subset) and in-order delivery waits on it forever
+   unless we join it.  A rebuilt party whose later rounds came from
+   catch-up proposed in none of them and waits for catch-up instead. *)
+let base_stalled (t : t) : bool =
+  let rec later r =
+    r < t.base + window t
+    && ((Hashtbl.mem t.proposed_rounds r && Hashtbl.mem t.decided_batches r)
+        || later (r + 1))
+  in
+  later (t.base + 1)
+
 let rec try_send_init_round (t : t) (round : int) : unit =
   if not t.closed && t.gate () && round >= t.base && round < t.base + window t
      && round >= t.init_floor
@@ -490,7 +504,10 @@ let rec try_send_init_round (t : t) (round : int) : unit =
     trim_queue t;
     let depth = Queue.length t.queue in
     if depth > 0 then adapt_batch t depth;
-    let joined = Hashtbl.length (round_inits t round) > 0 in
+    let joined =
+      Hashtbl.length (round_inits t round) > 0
+      || (round = t.base && base_stalled t)
+    in
     if has_fresh_items t || joined then begin
       match own_items t with
       | _ :: _ as items ->
@@ -606,7 +623,11 @@ and round_decided (t : t) (round : int) (batch : string) : unit =
    adoptable. *)
 and advance (t : t) : unit =
   match Hashtbl.find_opt t.decided_batches t.base with
-  | None -> ()
+  | None ->
+    if base_stalled t then begin
+      try_send_init_round t t.base;
+      try_propose_round t t.base
+    end
   | Some batch ->
     deliver_round t t.base batch;
     if not t.closed then begin

@@ -30,19 +30,9 @@ let kind_to_string (k : kind) : string =
   | Amortized -> "crypto-amortized"
   | Durable -> "durable"
 
-let kind_of_string (s : string) : kind option =
-  match s with
-  | "reliable" -> Some Reliable
-  | "consistent" -> Some Consistent
-  | "aba" -> Some Aba
-  | "mvba" -> Some Mvba
-  | "atomic" -> Some Atomic
-  | "secure" -> Some Secure
-  | "throughput" -> Some Throughput
-  | "pipeline" -> Some Pipeline
-  | "crypto-amortized" -> Some Amortized
-  | "durable" -> Some Durable
-  | _ -> None
+let kinds =
+  [ Reliable; Consistent; Aba; Mvba; Atomic; Secure; Throughput; Pipeline;
+    Amortized; Durable ]
 
 type obs = {
   kind : kind;

@@ -47,8 +47,9 @@ type kind =
 val kind_to_string : kind -> string
 (** Lower-case CLI name, e.g. ["atomic"]. *)
 
-val kind_of_string : string -> kind option
-(** Inverse of {!kind_to_string}. *)
+val kinds : kind list
+(** Every kind, in CLI order: the explorer's workload list and the vopr
+    bench's rows. *)
 
 (** Everything one run exposes to the oracles. *)
 type obs = {

@@ -43,6 +43,14 @@ let byz_supported (k : Oracle.kind) : bool =
   | Oracle.Pipeline | Oracle.Durable ->
     false
 
+(* The durable workload scripts a power failure of party 3 itself, which
+   spends the whole t=1 fault budget: its generated schedules carry only
+   benign noise (delays, dups, replays). *)
+let schedule ~(kind : Oracle.kind) ~(run_seed : string) : Schedule.t =
+  Explorer.schedule_of ~run_seed ~n:4
+    ~max_faulty:(if kind = Oracle.Durable then 0 else 1)
+    ~allow_equiv:(byz_supported kind)
+
 (* Key material is independent of the run seed; share it across the sweep. *)
 let dealer_cache : (string, Dealer.t) Hashtbl.t = Hashtbl.create 4
 

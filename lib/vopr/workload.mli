@@ -40,6 +40,12 @@ val byz_supported : Oracle.kind -> bool
 (** Whether an equivocating-party harness exists for the workload, i.e.
     whether {!Schedule.generate} may draw [Byz_equivocate] for it. *)
 
+val schedule : kind:Oracle.kind -> run_seed:string -> Schedule.t
+(** The schedule a sweep of [kind] runs under for [run_seed]
+    ({!Explorer.schedule_of} at n = 4): at most one faulty party, none for
+    the [Durable] kind, whose scripted power failure already spends the
+    fault budget. *)
+
 val run :
   ?tweaks:tweaks -> ?until:float -> ?max_events:int -> kind:Oracle.kind ->
   seed:string -> Schedule.t -> Oracle.obs

@@ -277,19 +277,18 @@ let suite = [
         true
         (Trace.Causal.min_coverage r >= 0.95));
 
-  Alcotest.test_case "bench-latency: same seed, byte-identical report" `Slow
+  Alcotest.test_case "latency ledger: same seed, byte-identical" `Slow
     (fun () ->
-      let run () =
-        Load.Latency.to_json
-          (Load.Latency.run ~smoke:true ~rates:[ 15.0 ] ~seed:"det" ())
+      let ledger seed =
+        Load.Ledger.to_string
+          (Load.Latency.ledger
+             (Load.Latency.run ~smoke:true ~rates:[ 15.0 ] ~seed ()))
       in
+      let run () = ledger "det" in
       let a = run () in
       let b = run () in
       Alcotest.(check bool) "nonempty" true (String.length a > 0);
       Alcotest.(check string) "byte-identical" a b;
-      let c =
-        Load.Latency.to_json
-          (Load.Latency.run ~smoke:true ~rates:[ 15.0 ] ~seed:"other" ())
-      in
+      let c = ledger "other" in
       Alcotest.(check bool) "seed-sensitive" true (a <> c));
 ]

@@ -15,6 +15,7 @@ let () =
       ("batching", Test_batching.suite);
       ("pipeline", Test_pipeline.suite);
       ("load", Test_load.suite);
+      ("ledger", Test_ledger.suite);
       ("optimistic", Test_optimistic.suite);
       ("system", Test_system.suite);
       ("properties", Test_properties.suite);

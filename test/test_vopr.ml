@@ -17,10 +17,7 @@ let expect_planted ~kind ~tweaks ~oracle:expected ?(seeds = 10)
   let oracles = Vopr.Oracle.all kind in
   let report =
     Vopr.Explorer.explore ~runner ~oracles
-      ~generate:(fun ~run_seed ->
-        Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty:1
-          ~allow_equiv:(Vopr.Workload.byz_supported kind))
-      ~seed:"planted" ~seeds ()
+      ~generate:(Vopr.Workload.schedule ~kind) ~seed:"planted" ~seeds ()
   in
   match report.Vopr.Explorer.failures with
   | [] ->
@@ -57,10 +54,7 @@ let check_clean ~kind ~seeds =
   let runner ~seed sched = Vopr.Workload.run ~kind ~seed sched in
   let report =
     Vopr.Explorer.explore ~runner ~oracles:(Vopr.Oracle.all kind)
-      ~generate:(fun ~run_seed ->
-        Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty:1
-          ~allow_equiv:(Vopr.Workload.byz_supported kind))
-      ~seed:"trunk" ~seeds ()
+      ~generate:(Vopr.Workload.schedule ~kind) ~seed:"trunk" ~seeds ()
   in
   (match report.Vopr.Explorer.failures with
    | [] -> ()
@@ -196,6 +190,20 @@ let suite = [
       let sched = sched_of_string "delay@35:2204,drop@3>1:0" in
       let obs = Vopr.Workload.run ~kind:Vopr.Oracle.Atomic ~seed:"vopr#70" sched in
       assert_all_pass ~what:"vopr#70" obs);
+
+  Alcotest.test_case "regression bench-vopr#144: Byzantine-started round"
+    `Quick (fun () ->
+      (* Found by the vopr bench's 200-seed throughput sweep: the selective
+         party 1 opened round 5 with an INIT no honest party received,
+         round 6 decided, and every party waited on round 5 forever.  Fixed
+         by joining the base round once a later round we proposed in has
+         decided. *)
+      let sched = sched_of_string "delay@288:3772,delay@81:1345,byz@1:sel" in
+      let obs =
+        Vopr.Workload.run ~kind:Vopr.Oracle.Throughput ~seed:"bench-vopr#144"
+          sched
+      in
+      assert_all_pass ~what:"bench-vopr#144" obs);
 
   Alcotest.test_case "equivocating CBC sender: safety holds, culprit flagged"
     `Quick (fun () ->

@@ -51,10 +51,7 @@ let perm_mode () =
   List.iter
     (fun (label, mode) ->
       let cfg =
-        Config.make ~tsig_scheme:Config.Multi ~perm_mode:mode
-          ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
-          ~model_rsa_bits:1024 ~model_dl_pbits:1024 ~model_dl_qbits:160
-          ~n:4 ~t:1 ()
+        Config.make ~tsig_scheme:Config.Multi ~perm_mode:mode ~n:4 ~t:1 ()
       in
       let ds =
         Experiments.run_channel ~seed:("ab-perm" ^ label)
@@ -76,7 +73,9 @@ let optimistic () =
   let run_opt ~topo ~seed ~crash_leader ~messages =
     let n = Sim.Topology.n topo in
     let cfg = Experiments.bench_cfg ~n ~t:((n - 1) / 3) () in
-    let c = Experiments.make_cluster ~seed ~topo cfg in
+    let c =
+      Experiments.cluster ~seed ~topo cfg
+    in
     let deliveries = ref [] in
     let chans =
       Array.init n (fun i ->
@@ -140,21 +139,9 @@ let lossy_links () =
       let topo = Sim.Topology.lan in
       let seed = Printf.sprintf "ab-loss-%.2f" loss in
       let c =
-        let dealer_cfg = cfg in
-        let mac_keys =
-          Dealer.net_mac_keys (Experiments.make_cluster ~seed:"x" ~topo cfg).Cluster.dealer
-        in
-        let engine = Sim.Engine.create ~seed () in
-        let net =
-          if loss = 0.0 then Sim.Net.create ~engine ~topo ~mac_keys
-          else Sim.Net.create_lossy ~loss ~engine ~topo ~mac_keys
-        in
-        let dealer = (Experiments.make_cluster ~seed:"x" ~topo cfg).Cluster.dealer in
-        let runtimes =
-          Array.init 4 (fun i ->
-            Runtime.create ~engine ~net ~cfg:dealer_cfg ~keys:dealer.Dealer.parties.(i))
-        in
-        { Cluster.engine; net; cfg = dealer_cfg; dealer; runtimes }
+        Experiments.cluster
+          ?loss:(if loss = 0.0 then None else Some loss)
+          ~engine_prefix:"" ~seed ~topo cfg
       in
       let deliveries = ref [] in
       let chans =

@@ -44,9 +44,9 @@ type history = {
 let drive ~(seed : string) ~(recovery : string) ~(history : int)
     ~(interval : int option) ~(wipe : bool) : history =
   let n = 4 and t = 1 in
+  let cfg = Experiments.bench_cfg ~n ~t () in
   let c =
-    Experiments.make_cluster ~seed ~topo:Sim.Topology.lan
-      (Experiments.bench_cfg ~n ~t ())
+    Experiments.cluster ~seed ~topo:Sim.Topology.lan cfg
   in
   let deliveries = ref [] in
   let devs = Array.init n (fun _ -> Store.Device.mem ()) in

@@ -22,34 +22,14 @@ let kind_name = function
 let bench_cfg ?batch_size ?(scheme = Config.Multi) ?(model_rsa_bits = 1024)
     ?(fast_path = true) ~n ~t () : Config.t =
   Config.make ?batch_size ~tsig_scheme:scheme ~perm_mode:Config.Random_local
-    ~crypto_fast_path:fast_path
-    ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
-    ~model_rsa_bits ~model_dl_pbits:1024 ~model_dl_qbits:160 ~n ~t ()
+    ~crypto_fast_path:fast_path ~model_rsa_bits ~n ~t ()
 
-(* Key generation is the slow part of a run; share dealers across
-   experiments (model sizes do not affect the dealt keys). *)
-let dealer_cache : (string, Dealer.t) Hashtbl.t = Hashtbl.create 8
-
-let make_cluster ~(seed : string) ~(topo : Sim.Topology.t) (cfg : Config.t) : Cluster.t =
-  let key =
-    Printf.sprintf "%d|%d|%s" cfg.Config.n cfg.Config.t
-      (match cfg.Config.tsig_scheme with Config.Shoup -> "s" | Config.Multi -> "m")
-  in
-  let dealer =
-    match Hashtbl.find_opt dealer_cache key with
-    | Some d -> d
-    | None ->
-      let d = Dealer.deal ~seed:"bench-dealer" cfg in
-      Hashtbl.replace dealer_cache key d;
-      d
-  in
-  let engine = Sim.Engine.create ~seed:("bench-engine|" ^ seed) () in
-  let net = Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer) in
-  let runtimes =
-    Array.init cfg.Config.n (fun i ->
-      Runtime.create ~engine ~net ~cfg ~keys:dealer.Dealer.parties.(i))
-  in
-  { Cluster.engine; net; cfg; dealer; runtimes }
+(* The bench group: keys from the shared "bench-dealer" deal, engine
+   seeded [engine_prefix ^ seed]. *)
+let cluster ?loss ?(engine_prefix = "bench-engine|") ~(seed : string)
+    ~(topo : Sim.Topology.t) (cfg : Config.t) : Cluster.t =
+  Cluster.of_dealer ?loss ~engine_seed:(engine_prefix ^ seed) ~topo
+    (Dealer.memo ~seed:"bench-dealer" cfg)
 
 type delivery = {
   number : int;           (* delivery index at the measuring party *)
@@ -86,7 +66,9 @@ let metrics_json () : string =
 let run_channel ?(seed = "run") ~(topo : Sim.Topology.t) ~(cfg : Config.t)
     ~(kind : channel_kind) ~(senders : int list) ~(per_sender : int)
     ~(measure_at : int) () : delivery list =
-  let c = make_cluster ~seed ~topo cfg in
+  let c =
+    cluster ~seed ~topo cfg
+  in
   let n = cfg.Config.n in
   let deliveries = ref [] in
   let count = ref 0 in

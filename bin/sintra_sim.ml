@@ -132,8 +132,7 @@ let make_cluster ~seed ~scheme ?(no_fast_path = false) ?(no_batching = false)
       ~max_batch:(if no_batching then 1 else 256)
       ~pipeline_depth ~adaptive_batch
       ~batch_verify:(not no_batch_verify) ~share_cache:(not no_share_cache)
-      ~coin_pregen:(not no_coin_pregen)
-      ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96 ~n ~t ()
+      ~coin_pregen:(not no_coin_pregen) ~n ~t ()
   in
   Cluster.create ~seed ~topo cfg
 

@@ -54,9 +54,25 @@ val sweep_cfg :
     defaults (window of 4 rounds, adaptive cap). *)
 
 val make_cluster : seed:string -> Sintra.Config.t -> Sintra.Cluster.t
-(** A fresh simulated group for one measurement run.  Dealers are cached
-    per [(n, t)] across runs — key generation dominates setup and keys do
-    not depend on the load shape. *)
+(** A fresh simulated group on the uniform LAN topology for one
+    measurement run: keys from {!Sintra.Dealer.memo} under the sweep's
+    dealer seed (they do not depend on the load shape), engine seeded from
+    [seed]. *)
+
+(** How clients offer load. *)
+type load_shape =
+  | Open_loop of float  (** Poisson arrivals at this rate across the group, req/s *)
+  | Closed_loop of int  (** this many clients per party, zero think time *)
+
+val drive :
+  ?sink:Trace.Sink.t -> ?arrivals:string -> seed:string ->
+  cfg:Sintra.Config.t -> duration:float -> load_shape ->
+  Gen.t * Sintra.Atomic_channel.t array
+(** The driver behind every sweep and latency point: a fresh
+    {!make_cluster}, one atomic channel per party (pid ["load"]) feeding
+    the returned generator, run for [duration] virtual seconds.  [sink] is
+    installed before any channel exists; open-loop arrivals draw from the
+    seed [arrivals ^ seed] ([arrivals] defaults to ["load-arrivals|"]). *)
 
 val quantile : float array -> float -> float
 (** [quantile sorted q] is the element at rank [q] (nearest-rank on a

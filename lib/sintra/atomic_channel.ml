@@ -91,6 +91,11 @@ type t = {
   (* outgoing queue of this party's own payloads *)
   queue : (int * string) Queue.t;               (* seq, marked payload *)
   mutable next_seq : int;
+  (* Restored after this party lost state ({!mark_restored}): own sequence
+     numbers restarted, so they may collide with a predecessor's history
+     adopted through catch-up.  Cleared once a round we proposed in is
+     delivered: from then on we number past the history we know. *)
+  mutable restored : bool;
   mutable base : int;                  (* next round to deliver, in order *)
   (* round -> signer -> (arrival rank, entry); the rank (table size at
      insertion) reproduces the paper's behaviour of considering messages in
@@ -258,6 +263,11 @@ let batch_valid (t : t) ~(round : int) (batch : string) : bool =
 
 let trace (t : t) : Trace.Ctx.t = t.rt.Runtime.trace
 
+(* One counter per catch-up path ("abc.catchup.<path>"), so a run's
+   metrics show which of the overlapping recovery mechanisms fired. *)
+let catchup (t : t) (path : string) : unit =
+  Trace.Ctx.incr (trace t) ("abc.catchup." ^ path)
+
 let trace_phase (t : t) (name : string) (r : int) (ph : Trace.Event.phase) :
     unit =
   let tr = trace t in
@@ -342,6 +352,29 @@ let trim_queue (t : t) : unit =
   in
   trim ()
 
+(* Requeue one own payload under the next sequence number the delivered
+   set does not hold, carrying its enqueue time along. *)
+let renumber (t : t) ((old_seq, framed) : int * string) : unit =
+  let me = t.rt.Runtime.me in
+  while Hashtbl.mem t.delivered (me, t.next_seq) do
+    t.next_seq <- t.next_seq + 1
+  done;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Queue.push (seq, framed) t.queue;
+  catchup t "renumbered";
+  match Hashtbl.find_opt t.enqueued_at old_seq with
+  | Some t0 ->
+    Hashtbl.remove t.enqueued_at old_seq;
+    Hashtbl.replace t.enqueued_at seq t0
+  | None -> ()
+
+(* The queue's entries in order, leaving it empty. *)
+let drain_queue (t : t) : (int * string) list =
+  let entries = List.rev (Queue.fold (fun acc e -> e :: acc) [] t.queue) in
+  Queue.clear t.queue;
+  entries
+
 (* After a state-losing rebuild our early sequence numbers can collide with
    pre-crash history adopted through catch-up: the old payload owns the
    (party, seq) identity, so a queued payload reusing that seq would be
@@ -351,31 +384,13 @@ let trim_queue (t : t) : unit =
    in-flight vector still carrying the stale identity deduplicates away at
    delivery). *)
 let heal_seq_collision (t : t) (it : item) : unit =
-  let me = t.rt.Runtime.me in
   let clash =
     Queue.fold
       (fun acc (seq, framed) ->
         acc || (seq = it.it_seq && not (String.equal framed it.it_payload)))
       false t.queue
   in
-  if clash then begin
-    let entries = List.rev (Queue.fold (fun acc e -> e :: acc) [] t.queue) in
-    Queue.clear t.queue;
-    List.iter
-      (fun (old_seq, framed) ->
-        while Hashtbl.mem t.delivered (me, t.next_seq) do
-          t.next_seq <- t.next_seq + 1
-        done;
-        let seq = t.next_seq in
-        t.next_seq <- seq + 1;
-        Queue.push (seq, framed) t.queue;
-        match Hashtbl.find_opt t.enqueued_at old_seq with
-        | Some t0 ->
-          Hashtbl.remove t.enqueued_at old_seq;
-          Hashtbl.replace t.enqueued_at seq t0
-        | None -> ())
-      entries
-  end
+  if clash then List.iter (renumber t) (drain_queue t)
 
 (* AIMD self-tuning of the vector cap from the observed backlog. *)
 let adapt_batch (t : t) (depth : int) : unit =
@@ -504,17 +519,18 @@ let rec try_send_init_round (t : t) (round : int) : unit =
     trim_queue t;
     let depth = Queue.length t.queue in
     if depth > 0 then adapt_batch t depth;
-    let joined =
-      Hashtbl.length (round_inits t round) > 0
-      || (round = t.base && base_stalled t)
-    in
-    if has_fresh_items t || joined then begin
+    let started = Hashtbl.length (round_inits t round) > 0 in
+    let stalled = (not started) && round = t.base && base_stalled t in
+    if has_fresh_items t || started || stalled then begin
+      (* A stalled base round is always joined: our INIT goes out below. *)
+      if stalled then catchup t "stalled_join";
       match own_items t with
       | _ :: _ as items ->
         Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.queue_depth"
           (float_of_int (Queue.length t.queue));
         send_init t round items
-      | [] -> if joined then send_init t round (adoptable_items t round)
+      | [] ->
+        if started || stalled then send_init t round (adoptable_items t round)
     end
   end
 
@@ -695,6 +711,7 @@ and deliver_round (t : t) (round : int) (batch : string) : unit =
   (* Rounds adopted through catch-up never opened a round span. *)
   if Hashtbl.mem t.my_init round then
     trace_phase t "round" round Trace.Event.Span_end;
+  if Hashtbl.mem t.proposed_rounds round then t.restored <- false;
   (* Close once t+1 distinct parties asked. *)
   if Hashtbl.length t.term_requests >= Config.one_honest t.rt.Runtime.cfg then begin
     t.closed <- true;
@@ -751,7 +768,9 @@ and maybe_adopt_round (t : t) (round : int) : unit =
         if !winner = None && Hashtbl.length senders >= quorum then
           winner := Some batch);
       (match !winner with
-       | Some batch -> round_decided t round batch
+       | Some batch ->
+         catchup t "claims_adopted";
+         round_decided t round batch
        | None -> ())
 
 and try_adopt_claims (t : t) : unit =
@@ -803,9 +822,12 @@ let handle (t : t) ~src body =
                 | Some tbl -> Hashtbl.length tbl = 0
                 | None -> true)
           in
+          let beyond = round >= t.base + window t in
           if round > t.base && round > t.requested_for
-             && (round >= t.base + window t || base_dark ())
+             && (beyond || base_dark ())
           then begin
+            catchup t
+              (if beyond then "request_beyond_window" else "request_dark_base");
             t.requested_for <- round;
             Runtime.broadcast t.rt ~pid:t.pid
               (Wire.encode (fun b ->
@@ -819,11 +841,14 @@ let handle (t : t) ~src body =
         end
       | Init (round, en) when en.en_signer = src ->
         (* Stale INIT: the sender is behind — help it catch up. *)
+        catchup t "serve_stale_init";
         send_backlog t ~dst:src ~from_round:round
       | Init _ -> ()
       | Request round ->
-        if round >= 0 && round < t.base then
+        if round >= 0 && round < t.base then begin
+          catchup t "serve_request";
           send_backlog t ~dst:src ~from_round:round
+        end
       | Decided (round, batch) ->
         if round >= t.base && round <= t.base + max_claim_lead then begin
           let by_batch =
@@ -867,6 +892,7 @@ let create (rt : Runtime.t) ~(pid : string)
     rt; pid; on_deliver; on_close;
     queue = Queue.create ();
     next_seq = 0;
+    restored = false;
     base = 0;
     inits = Hashtbl.create 16;
     delivered = Hashtbl.create 64;
@@ -947,6 +973,8 @@ let set_catchup_miss (t : t) (f : dst:int -> unit) : unit =
 
 let set_init_hook (t : t) (f : round:int -> unit) : unit = t.init_hook <- Some f
 
+let mark_restored (t : t) : unit = t.restored <- true
+
 let set_init_floor (t : t) ~(round : int) : unit =
   t.init_floor <- Stdlib.max t.init_floor round
 
@@ -981,8 +1009,10 @@ let adopt_round (t : t) ~(round : int) ~(batch : string) : unit =
 (* Serve a straggler's catch-up request on behalf of the durability layer
    (its snapshot-request message funnels into the same path as REQUEST). *)
 let serve_backlog (t : t) ~(dst : int) ~(from_round : int) : unit =
-  if from_round >= 0 && from_round < t.base then
+  if from_round >= 0 && from_round < t.base then begin
+    catchup t "serve_snap_req";
     send_backlog t ~dst ~from_round
+  end
 
 (* The channel state a checkpoint covers: the next round to deliver, the
    delivered (origin, seq) set as per-origin runs, and the termination
@@ -1021,9 +1051,7 @@ let encode_state (t : t) : string =
    delivered set and termination votes, and drop now-stale bookkeeping
    below the new base.  Refuses stale or malformed blobs — the caller has
    already verified the certificate, but the state must still move us
-   strictly forward.  Queued own payloads whose sequence numbers collide
-   with the adopted history are renumbered past it (same healing rule as
-   post-rebuild catch-up). *)
+   strictly forward. *)
 let install_state (t : t) (state : string) : bool =
   match
     Wire.decode state (fun d ->
@@ -1083,27 +1111,18 @@ let install_state (t : t) (state : string) : bool =
       drop_below t.past_mvba (fun m -> Array_agreement.abort m);
       t.base <- base;
       if base > t.floor then t.floor <- base;
-      (* Renumber queued payloads shadowed by the adopted history. *)
+      (* Queued own payloads the adopted history covers.  Numbered past
+         every history we knew, they are exactly what the group delivered
+         while we lagged: drop them.  A restored channel restarted its
+         numbering, so a covered number may name a predecessor's payload
+         instead: renumber past the history. *)
       let me = t.rt.Runtime.me in
-      let entries = List.rev (Queue.fold (fun acc e -> e :: acc) [] t.queue) in
-      Queue.clear t.queue;
       List.iter
-        (fun (old_seq, framed) ->
-          if Hashtbl.mem t.delivered (me, old_seq) then begin
-            while Hashtbl.mem t.delivered (me, t.next_seq) do
-              t.next_seq <- t.next_seq + 1
-            done;
-            let seq = t.next_seq in
-            t.next_seq <- seq + 1;
-            Queue.push (seq, framed) t.queue;
-            match Hashtbl.find_opt t.enqueued_at old_seq with
-            | Some t0 ->
-              Hashtbl.remove t.enqueued_at old_seq;
-              Hashtbl.replace t.enqueued_at seq t0
-            | None -> ()
-          end
-          else Queue.push (old_seq, framed) t.queue)
-        entries;
+        (fun ((seq, _) as e) ->
+          if not (Hashtbl.mem t.delivered (me, seq)) then Queue.push e t.queue
+          else if t.restored then renumber t e
+          else Hashtbl.remove t.enqueued_at seq)
+        (drain_queue t);
       (* Parked decisions at or past the new base may be deliverable now. *)
       advance t;
       if not t.closed then begin

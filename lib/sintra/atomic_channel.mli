@@ -110,6 +110,14 @@ val set_init_floor : t -> round:int -> unit
     water-mark ({!set_init_hook}) and sets the floor one past it; barred
     rounds still complete, driven by the other parties' INITs. *)
 
+val mark_restored : t -> unit
+(** Declare that this channel's party lost state before the channel was
+    created (rebuilt after a crash, or restarted from its on-disk log):
+    its own sequence numbers restarted, so a number may collide with a
+    payload its predecessor sent.  Until a round this channel proposed in
+    is delivered, {!install_state} renumbers covered queued payloads
+    instead of dropping them.  The durability layer calls it at attach. *)
+
 val backlog_rounds : t -> int
 (** Decided batches currently retained (catch-up backlog plus reorder
     buffer) — the resident-memory figure a stable checkpoint bounds. *)
@@ -154,8 +162,11 @@ val install_state : t -> string -> bool
     false (and changes nothing) if the blob is malformed or does not move
     the base strictly forward.  The caller must have verified the
     checkpoint certificate over the blob's digest first.  Queued own
-    payloads whose sequence numbers collide with adopted history are
-    renumbered, preserving FIFO order. *)
+    payloads the adopted history covers were delivered while this party
+    lagged and are dropped — unless the channel is {!mark_restored}: its
+    numbering restarted, so a covered number may name a predecessor's
+    payload, and the queued one is renumbered past the history, preserving
+    FIFO order. *)
 
 val set_gate : t -> (unit -> bool) -> unit
 (** Backpressure: while the gate returns false this party neither INITs nor

@@ -10,11 +10,12 @@ type t = {
   runtimes : Runtime.t array;
 }
 
-let create ?(seed = "sintra") ?loss ~(topo : Sim.Topology.t) (cfg : Config.t) : t =
+let of_dealer ?loss ~(engine_seed : string) ~(topo : Sim.Topology.t)
+    (dealer : Dealer.t) : t =
+  let cfg = dealer.Dealer.cfg in
   if Sim.Topology.n topo <> cfg.Config.n then
-    invalid_arg "Cluster.create: topology size differs from configured n";
-  let dealer = Dealer.deal ~seed cfg in
-  let engine = Sim.Engine.create ~seed:("engine|" ^ seed) () in
+    invalid_arg "Cluster: topology size differs from configured n";
+  let engine = Sim.Engine.create ~seed:engine_seed () in
   let mac_keys = Dealer.net_mac_keys dealer in
   let net =
     match loss with
@@ -26,6 +27,9 @@ let create ?(seed = "sintra") ?loss ~(topo : Sim.Topology.t) (cfg : Config.t) : 
       Runtime.create ~engine ~net ~cfg ~keys:dealer.Dealer.parties.(i))
   in
   { engine; net; cfg; dealer; runtimes }
+
+let create ?(seed = "sintra") ?loss ~(topo : Sim.Topology.t) (cfg : Config.t) : t =
+  of_dealer ?loss ~engine_seed:("engine|" ^ seed) ~topo (Dealer.memo ~seed cfg)
 
 let runtime (c : t) (i : int) : Runtime.t = c.runtimes.(i)
 let n (c : t) = c.cfg.Config.n
@@ -52,9 +56,6 @@ let recover (c : t) (i : int) : unit = Sim.Net.recover c.net i
 
 let set_intercept (c : t) f = Sim.Net.set_intercept c.net f
 let clear_intercept (c : t) = Sim.Net.clear_intercept c.net
-
-let honest_indices (c : t) ~(corrupted : int list) : int list =
-  List.filter (fun i -> not (List.mem i corrupted)) (List.init c.cfg.Config.n (fun i -> i))
 
 (* Observability. *)
 

@@ -10,11 +10,19 @@ type t = {
   runtimes : Runtime.t array;
 }
 
-val create : ?seed:string -> ?loss:float -> topo:Sim.Topology.t -> Config.t -> t
-(** [loss] switches the network to unreliable datagrams with the given
-    per-frame loss probability, recovered by sliding-window links
+val of_dealer :
+  ?loss:float -> engine_seed:string -> topo:Sim.Topology.t -> Dealer.t -> t
+(** The one place a group is wired: an engine seeded with exactly
+    [engine_seed], a network keyed by the dealer's MAC keys and one
+    runtime per party, all under the dealer's [cfg].  [loss] switches the
+    network to unreliable datagrams with the given per-frame loss
+    probability, recovered by sliding-window links
     ({!Sim.Net.create_lossy}).
     @raise Invalid_argument if the topology size differs from [cfg.n]. *)
+
+val create : ?seed:string -> ?loss:float -> topo:Sim.Topology.t -> Config.t -> t
+(** [of_dealer] with the keys of {!Dealer.memo} [~seed] and the engine
+    seed ["engine|" ^ seed]; [seed] defaults to ["sintra"]. *)
 
 val runtime : t -> int -> Runtime.t
 (** Party [i]'s runtime. *)
@@ -51,9 +59,6 @@ val set_intercept : t -> (src:int -> dst:int -> string -> Sim.Net.action) -> uni
 
 val clear_intercept : t -> unit
 (** Remove the intercept; subsequent frames deliver normally. *)
-
-val honest_indices : t -> corrupted:int list -> int list
-(** Party indices not listed in [corrupted], ascending. *)
 
 val set_sink : t -> Trace.Sink.t -> unit
 (** Install a trace sink on the cluster's engine; every party's

@@ -2,7 +2,7 @@
 
    SINTRA's group model is static: n servers, at most t < n/3 corrupted, all
    keys dealt up front by a trusted dealer.  [actual] key sizes are what the
-   OCaml crypto really computes with (tests keep them small for speed);
+   OCaml crypto really computes with (kept small for speed);
    [model] key sizes drive the virtual-time cost model, so experiments can
    faithfully model 1024-bit keys (or sweep 128..1024 as in Figure 6)
    while the underlying — real — cryptography runs at a convenient size. *)
@@ -77,12 +77,13 @@ let dec_threshold (c : t) : int = c.t + 1
    amplification, batch adoption, termination-request counting. *)
 let one_honest (c : t) : int = c.t + 1
 
-(* Default: real crypto at modest sizes, cost model at the paper's 1024-bit
-   RSA / 1024-bit p with 160-bit q. *)
+(* Default: small real keys (256-bit RSA and field prime, 96-bit subgroup)
+   so key generation and every protocol step stay fast, cost model at the
+   paper's 1024-bit RSA / 1024-bit p with 160-bit q. *)
 let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
     ?(adaptive_batch = true) ?(tsig_scheme = Multi)
     ?(perm_mode = Fixed)
-    ?(rsa_bits = 512) ?(tsig_bits = 512) ?(dl_pbits = 512) ?(dl_qbits = 160)
+    ?(rsa_bits = 256) ?(tsig_bits = 256) ?(dl_pbits = 256) ?(dl_qbits = 96)
     ?(model_rsa_bits = 1024) ?(model_dl_pbits = 1024) ?(model_dl_qbits = 160)
     ?(check_invariants = false) ?(crypto_fast_path = true)
     ?(batch_verify = true) ?(share_cache = true) ?(coin_pregen = true)
@@ -100,13 +101,3 @@ let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
   in
   validate c;
   c
-
-(* A small fast configuration for unit tests: tiny real keys. *)
-let test ?(n = 4) ?(t = 1) ?(tsig_scheme = Multi) ?(perm_mode = Fixed)
-    ?(batch_size : int option) ?max_batch ?pipeline_depth ?adaptive_batch
-    ?check_invariants ?crypto_fast_path
-    ?batch_verify ?share_cache ?coin_pregen ?share_cache_cap () : t =
-  make ?batch_size ?max_batch ?pipeline_depth ?adaptive_batch
-    ?check_invariants ?crypto_fast_path
-    ?batch_verify ?share_cache ?coin_pregen ?share_cache_cap ~tsig_scheme
-    ~perm_mode ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96 ~n ~t ()

@@ -3,7 +3,7 @@
     SINTRA's group model is static: [n] servers of which at most [t < n/3]
     may be corrupted, all keys dealt up front by a trusted dealer.  The
     [actual] key sizes are what the OCaml cryptography really computes with
-    (tests keep them small); the [model] sizes drive the virtual-time cost
+    (kept small by default); the [model] sizes drive the virtual-time cost
     model, so experiments can model the paper's 1024-bit keys — or sweep
     them, as in Figure 6 — independently of the real key size. *)
 
@@ -107,16 +107,8 @@ val make :
   n:int -> t:int -> unit -> t
 (** Defaults: batch [t+1], max batch 256 payloads per party per round,
     pipeline depth 4 with adaptive batching, multi-signatures, fixed
-    candidate order, modest real key sizes, modeled 1024-bit RSA and
+    candidate order, small real keys (256-bit RSA, Shoup modulus and field
+    prime, 96-bit subgroup order), modeled 1024-bit RSA and
     1024/160-bit discrete logs, fast-path cost accounting on, the
     amortized-crypto layer (batch verification, share cache, coin
     pre-generation) on with a 4096-entry cache. *)
-
-val test :
-  ?n:int -> ?t:int -> ?tsig_scheme:tsig_scheme -> ?perm_mode:perm_mode ->
-  ?batch_size:int -> ?max_batch:int -> ?pipeline_depth:int ->
-  ?adaptive_batch:bool -> ?check_invariants:bool ->
-  ?crypto_fast_path:bool ->
-  ?batch_verify:bool -> ?share_cache:bool -> ?coin_pregen:bool ->
-  ?share_cache_cap:int -> unit -> t
-(** A fast configuration for unit tests (tiny real keys; default n=4, t=1). *)

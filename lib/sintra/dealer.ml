@@ -106,6 +106,28 @@ let deal ~(seed : string) (cfg : Config.t) : t =
     group;
   }
 
+(* One memo table per domain, keyed by the seed and every configuration
+   field [deal] reads.  Dealt keys are immutable, so the clusters of one
+   domain can share them; domains never do, so sweeps may run in parallel
+   without locking. *)
+let memo_table = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let memo ~(seed : string) (cfg : Config.t) : t =
+  let key =
+    Config.(seed, cfg.n, cfg.t, cfg.tsig_scheme, cfg.rsa_bits, cfg.tsig_bits,
+            cfg.dl_pbits, cfg.dl_qbits)
+  in
+  let tbl = Domain.DLS.get memo_table in
+  let d =
+    match Hashtbl.find_opt tbl key with
+    | Some d -> d
+    | None ->
+      let d = deal ~seed cfg in
+      Hashtbl.add tbl key d;
+      d
+  in
+  { d with cfg }
+
 (* MAC key matrix in the symmetric layout Net expects. *)
 let net_mac_keys (d : t) : string array array =
   let n = d.cfg.Config.n in

@@ -32,5 +32,12 @@ type t = {
 val deal : seed:string -> Config.t -> t
 (** Deterministic in [seed] and the configuration's actual key sizes. *)
 
+val memo : seed:string -> Config.t -> t
+(** [deal], memoized per domain by [seed] and the configuration fields
+    [deal] reads ([n], [t], [tsig_scheme] and the four actual key sizes):
+    same keys as [deal ~seed cfg], with [cfg] as the result's [cfg].  Key
+    generation dominates a group's setup cost; call {!deal} only for a
+    deliberately cold deal. *)
+
 val net_mac_keys : t -> string array array
 (** The MAC-key matrix in the symmetric layout {!Sim.Net.create} expects. *)

@@ -463,6 +463,10 @@ let attach (rt : Runtime.t) ~(chan : Atomic_channel.t) ~(pid : string)
         };
     }
   in
+  (* A rebuilt party, or one restarting from a non-empty log, lost its
+     own sequence counter: snapshot adoption must renumber, not drop. *)
+  if rt.Runtime.incarnation > 0 || Store.Device.size dev > 0 then
+    Atomic_channel.mark_restored chan;
   Runtime.register_store rt ~pid:t.dpid (fun ~src body -> handle t ~src body);
   Atomic_channel.set_round_hook chan (fun ~round ~batch ->
     on_round t ~round ~batch);

@@ -26,6 +26,7 @@ type t = {
       (* src, body, causal flow id at buffering time *)
   mutable dropped_orphans : int;
   mutable rebuild : (unit -> unit) list;   (* newest first *)
+  mutable incarnation : int;               (* recoveries from a crash *)
   cache : Crypto.Share_cache.t;
       (* verified shares, grouped by pid; volatile (cleared on crash),
          a pid's group is evicted when the instance unregisters *)
@@ -74,6 +75,7 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     orphans = Hashtbl.create 64;
     dropped_orphans = 0;
     rebuild = [];
+    incarnation = 0;
     cache = Crypto.Share_cache.create ~cap:cfg.Config.share_cache_cap;
   }
   in
@@ -226,6 +228,7 @@ let crash (rt : t) : unit =
     ~level:Trace.Event.Warn "crash"
 
 let recover (rt : t) : unit =
+  rt.incarnation <- rt.incarnation + 1;
   Sim.Net.recover rt.net rt.me;
   Trace.Ctx.instant rt.trace ~pid:"runtime" ~cat:"runtime"
     ~level:Trace.Event.Warn "recover";

@@ -27,6 +27,11 @@ type t = {
   orphans : (string, (int * string * int) Queue.t) Hashtbl.t;
   mutable dropped_orphans : int;
   mutable rebuild : (unit -> unit) list;
+  mutable incarnation : int;
+  (** How many times {!recover} restarted this party after a {!crash}: 0
+      while it has never lost state.  Instances created at a positive
+      incarnation were rebuilt and may reuse identities (such as own
+      sequence numbers) their pre-crash predecessors already spent. *)
   cache : Crypto.Share_cache.t;
   (** Verified shares, grouped by protocol instance (pid): {!unregister}
       evicts the pid's group, {!crash} clears everything — the cache is
@@ -87,6 +92,6 @@ val crash : t -> unit
     orphans) is discarded. *)
 
 val recover : t -> unit
-(** Restart a crashed party: the network endpoint resumes and the
-    {!on_rebuild} hooks run to reconstruct protocol instances.  Messages
-    that arrived during the outage are lost. *)
+(** Restart a crashed party: bump [incarnation], resume the network
+    endpoint and run the {!on_rebuild} hooks to reconstruct protocol
+    instances.  Messages that arrived during the outage are lost. *)

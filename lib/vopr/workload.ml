@@ -2,10 +2,10 @@
    fresh 4-party cluster, producing the observation record the oracles
    consume.
 
-   Dealer key material is memoized (it dominates start-up cost and is
-   independent of the run seed); the engine — and with it every latency
-   draw and protocol coin — is seeded per run, so a run is a pure function
-   of [(kind, tweaks, seed, schedule)].
+   Dealer key material is memoized per domain (Dealer.memo: it dominates
+   start-up cost and is independent of the run seed); the engine — and
+   with it every latency draw and protocol coin — is seeded per run, so a
+   run is a pure function of [(kind, tweaks, seed, schedule)].
 
    Corrupted parties (Byz_equivocate mutations) are replaced by the
    Byzantine harnesses from {!Sintra.Faults}; all other mutations act at
@@ -51,32 +51,6 @@ let schedule ~(kind : Oracle.kind) ~(run_seed : string) : Schedule.t =
     ~max_faulty:(if kind = Oracle.Durable then 0 else 1)
     ~allow_equiv:(byz_supported kind)
 
-(* Key material is independent of the run seed; share it across the sweep. *)
-let dealer_cache : (string, Dealer.t) Hashtbl.t = Hashtbl.create 4
-
-let make_cluster ?max_batch ~(run_seed : string) ~(n : int) ~(t : int) () :
-    Cluster.t =
-  let cfg = Config.test ~n ~t ?max_batch ~check_invariants:true () in
-  let topo = Sim.Topology.uniform ~count:n () in
-  let key = Printf.sprintf "%d|%d" n t in
-  let dealer =
-    match Hashtbl.find_opt dealer_cache key with
-    | Some d -> d
-    | None ->
-      let d = Dealer.deal ~seed:"vopr-dealer" cfg in
-      Hashtbl.replace dealer_cache key d;
-      d
-  in
-  let engine = Sim.Engine.create ~seed:("engine|" ^ run_seed) () in
-  let net =
-    Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer)
-  in
-  let runtimes =
-    Array.init n (fun i ->
-      Runtime.create ~engine ~net ~cfg ~keys:dealer.Dealer.parties.(i))
-  in
-  { Cluster.engine; net; cfg; dealer; runtimes }
-
 (* Broadcast_channel frames payloads with a leading 0x01; the Byzantine
    sender harnesses speak the inner-instance wire format directly. *)
 let framed (s : string) : string = "\x01" ^ s
@@ -94,7 +68,12 @@ let run ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
     | Oracle.Durable -> Some 8
     | _ -> None
   in
-  let c = make_cluster ?max_batch ~run_seed:seed ~n ~t () in
+  let cfg = Config.make ~n ~t ?max_batch ~check_invariants:true () in
+  let c =
+    Cluster.of_dealer ~engine_seed:("engine|" ^ seed)
+      ~topo:(Sim.Topology.uniform ~count:n ())
+      (Dealer.memo ~seed:"vopr-dealer" cfg)
+  in
   (* The amortized-crypto workload layers a deterministic retransmit storm
      over the generated schedule: every 4th frame duplicated, every 4th+2
      frame replayed out of FIFO order.  Dups and replays re-present

@@ -5,8 +5,8 @@
     checking on) whose engine is seeded from the run seed, installs the
     schedule's mutations, drives the chosen protocol with a fixed message
     pattern, and collects what every party observed.  Dealer key material
-    is memoized across runs — it is seed-independent — so a sweep pays the
-    key-generation cost once. *)
+    is memoized per domain ({!Sintra.Dealer.memo}) — it is seed-independent
+    — so a sweep pays the key-generation cost once per domain. *)
 
 (** A minimal send-capable handle, so planted-bug tests can substitute a
     deliberately broken channel implementation. *)

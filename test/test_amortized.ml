@@ -531,8 +531,8 @@ let cost_tests =
           f s;
           s.Charge.meter.Sim.Cost.total_ms
         in
-        let shoup = Config.test ~n:4 ~t:1 ~tsig_scheme:Config.Shoup () in
-        let multi = Config.test ~n:4 ~t:1 ~tsig_scheme:Config.Multi () in
+        let shoup = Config.make ~n:4 ~t:1 ~tsig_scheme:Config.Shoup () in
+        let multi = Config.make ~n:4 ~t:1 ~tsig_scheme:Config.Multi () in
         let tsig_single = cost shoup Charge.tsig_verify_share in
         let tsig_batch3 =
           cost shoup (fun s -> Charge.tsig_verify_share_batch s ~k:3)
@@ -573,22 +573,10 @@ let cost_tests =
 (* One dealer for the whole sweep (key material is independent of both the
    run seed and the pregen flag); engines are seeded per run, as in the
    vopr workloads. *)
-let aba_dealer =
-  lazy (Dealer.deal ~seed:"amort-aba" (Config.test ~n:4 ~t:1 ()))
-
 let pregen_cluster ~(coin_pregen : bool) ~(run_seed : string) : Cluster.t =
-  let cfg = Config.test ~n:4 ~t:1 ~check_invariants:true ~coin_pregen () in
-  let topo = Util.default_topo () in
-  let dealer = Lazy.force aba_dealer in
-  let engine = Sim.Engine.create ~seed:("engine|" ^ run_seed) () in
-  let net =
-    Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer)
-  in
-  let runtimes =
-    Array.init 4 (fun i ->
-      Runtime.create ~engine ~net ~cfg ~keys:dealer.Dealer.parties.(i))
-  in
-  { Cluster.engine; net; cfg; dealer; runtimes }
+  let cfg = Config.make ~n:4 ~t:1 ~check_invariants:true ~coin_pregen () in
+  Cluster.of_dealer ~engine_seed:("engine|" ^ run_seed)
+    ~topo:(Util.default_topo ()) (Dealer.memo ~seed:"amort-aba" cfg)
 
 (* Run one seeded ABA instance with mixed proposals; returns the per-party
    decisions and the summed cache-hit count (coin-share justifications

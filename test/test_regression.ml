@@ -35,9 +35,7 @@ let suite = [
     (fun () ->
       let duration model_rsa_bits =
         let cfg =
-          Config.make ~tsig_scheme:Config.Multi
-            ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
-            ~model_rsa_bits ~model_dl_pbits:1024 ~model_dl_qbits:160 ~n:4 ~t:1 ()
+          Config.make ~tsig_scheme:Config.Multi ~model_rsa_bits ~n:4 ~t:1 ()
         in
         let topo = Sim.Topology.lan in
         let c = Cluster.create ~seed:"model-sweep" ~topo cfg in
@@ -58,7 +56,7 @@ let suite = [
         Alcotest.failf "model size had no effect: %f vs %f" t_small t_big);
 
   Alcotest.test_case "optimistic channel over 10% frame loss" `Slow (fun () ->
-    let cfg = Config.test () in
+    let cfg = Config.make ~n:4 ~t:1 () in
     let topo = Sim.Topology.uniform ~count:4 () in
     let c = Cluster.create ~seed:"opt-lossy" ~loss:0.10 ~topo cfg in
     let logs = Array.init 4 (fun _ -> ref []) in
@@ -79,8 +77,7 @@ let suite = [
   Alcotest.test_case "service over the Internet topology" `Quick (fun () ->
     (* End-to-end: replicated accumulator across the WAN test-bed. *)
     let cfg =
-      Config.make ~tsig_scheme:Config.Multi ~rsa_bits:256 ~tsig_bits:256
-        ~dl_pbits:256 ~dl_qbits:96 ~n:4 ~t:1 ()
+      Config.make ~tsig_scheme:Config.Multi ~n:4 ~t:1 ()
     in
     let c = Cluster.create ~seed:"svc-wan" ~topo:Sim.Topology.internet cfg in
     let apply acc req =

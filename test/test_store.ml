@@ -2,7 +2,9 @@
    framing and replay determinism, CRC corruption detection, torn-tail
    tolerance, checkpoint-certificate forgery rejection, GC safety (never
    dropping undelivered rounds), crash + restart from disk, snapshot
-   state transfer to a wiped party, bounded DECIDED backlog, and
+   state transfer to a wiped party, exactly-once delivery when a paused,
+   rebuilt or disk-restarted party adopts a snapshot covering its queued
+   payloads, bounded DECIDED backlog, and
    byte-identical delivery order with and without the durability layer. *)
 
 open Sintra
@@ -93,6 +95,36 @@ let send_waves (h : harness) ~(waves : int) ~(per : int) : unit =
       in
       if time <= 0.0 then submit () else Cluster.at h.c ~time submit
     done
+  done
+
+(* Per-party delivery counts for the re-delivery tests: every delivery,
+   and deliveries of [mark] from party 3. *)
+type dups = { mark : string; counts : int array; xs : int array }
+
+let dup_counters ?(mark = "X") () =
+  { mark; counts = Array.make 4 0; xs = Array.make 4 0 }
+
+let counting_party (c : Cluster.t) (d : dups) ~(dev : Store.Device.t) (i : int)
+    : Atomic_channel.t * Durable.t =
+  let rt = Cluster.runtime c i in
+  let ch =
+    Atomic_channel.create rt ~pid:"dup"
+      ~on_deliver:(fun ~sender m ->
+        d.counts.(i) <- d.counts.(i) + 1;
+        if sender = 3 && m = d.mark then d.xs.(i) <- d.xs.(i) + 1)
+      ()
+  in
+  (ch, Durable.attach rt ~chan:ch ~pid:"dup" ~dev ~interval:2 ())
+
+(* Parties 0-2 each send one payload every 0.5 s. *)
+let group_waves (c : Cluster.t) (parties : (Atomic_channel.t * Durable.t) array)
+    ~(waves : int) : unit =
+  for w = 1 to waves do
+    Cluster.at c ~time:(0.5 *. float_of_int w) (fun () ->
+      for p = 0 to 2 do
+        Cluster.inject c p (fun () ->
+          Atomic_channel.send (fst parties.(p)) (Printf.sprintf "p%d.w%d" p w))
+      done)
   done
 
 let suite =
@@ -240,6 +272,103 @@ let suite =
       if part <> suffix then
         Alcotest.fail "snapshot adopter's deliveries are not a suffix";
       Alcotest.(check bool) "snapshot skipped real history" true (missing > 0));
+    Alcotest.test_case "paused party's snapshot adoption delivers once" `Quick
+      (fun () ->
+      (* Party 3 queues X and is paused (net-level, state intact) while the
+         group delivers X, checkpoints every 2 rounds and garbage-collects
+         the history; on resuming it adopts a snapshot covering X.  Its
+         queued X was delivered, so it must be dropped — renumbering it
+         would have the group deliver X a second time. *)
+      List.iter
+        (fun resume ->
+          let c = Util.cluster ~seed:"lag-dup" ~max_batch:8 () in
+          let dups = dup_counters () in
+          let parties =
+            Array.init 4 (fun i ->
+              counting_party c dups ~dev:(Store.Device.mem ()) i)
+          in
+          Cluster.inject c 3 (fun () -> Atomic_channel.send (fst parties.(3)) "X");
+          Cluster.at c ~time:0.002 (fun () -> Cluster.crash c 3);
+          Cluster.at c ~time:resume (fun () -> Cluster.recover c 3);
+          group_waves c parties ~waves:12;
+          ignore (Cluster.run c ~until:60.0);
+          Alcotest.(check bool) "party 3 adopted a snapshot" true
+            (Durable.snapshots_adopted (snd parties.(3)) >= 1);
+          for i = 0 to 2 do
+            Alcotest.(check int) (Printf.sprintf "party %d delivers X once" i)
+              1 dups.xs.(i);
+            Alcotest.(check int) (Printf.sprintf "party %d delivers 37" i)
+              37 dups.counts.(i)
+          done;
+          Alcotest.(check int) "party 3 skips X with the snapshot" 0 dups.xs.(3))
+        [ 2.0; 4.0 ]);
+    Alcotest.test_case "rebuilt party paused later delivers once" `Quick
+      (fun () ->
+      (* Party 3 loses its state and disk at 1 s and is rebuilt at 3 s; it
+         adopts a snapshot and takes part in live rounds again.  At 8 s it
+         queues X and is paused until 12 s, long enough for the group to
+         deliver X and garbage-collect the round.  The rebuild is behind
+         it, so X's number is its own: the covering snapshot drops X. *)
+      let c = Util.cluster ~seed:"rebuilt-pause" ~max_batch:8 () in
+      let dups = dup_counters () in
+      let parties =
+        Array.init 4 (fun i -> counting_party c dups ~dev:(Store.Device.mem ()) i)
+      in
+      let rt3 = Cluster.runtime c 3 in
+      Runtime.on_rebuild rt3 (fun () ->
+        parties.(3) <- counting_party c dups ~dev:(Store.Device.mem ()) 3);
+      Cluster.at c ~time:1.0 (fun () -> Runtime.crash rt3);
+      Cluster.at c ~time:3.0 (fun () -> Runtime.recover rt3);
+      Cluster.at c ~time:8.2 (fun () ->
+        Cluster.inject c 3 (fun () -> Atomic_channel.send (fst parties.(3)) "X"));
+      Cluster.at c ~time:8.202 (fun () -> Cluster.crash c 3);
+      Cluster.at c ~time:12.0 (fun () -> Cluster.recover c 3);
+      group_waves c parties ~waves:32;
+      ignore (Cluster.run c ~until:60.0);
+      Alcotest.(check bool) "rebuilt party 3 adopted two snapshots" true
+        (Durable.snapshots_adopted (snd parties.(3)) >= 2);
+      for i = 0 to 2 do
+        Alcotest.(check int) (Printf.sprintf "party %d delivers X once" i)
+          1 dups.xs.(i);
+        Alcotest.(check int) (Printf.sprintf "party %d delivers 97" i)
+          97 dups.counts.(i)
+      done;
+      Alcotest.(check int) "party 3 skips X with the snapshot" 0 dups.xs.(3));
+    Alcotest.test_case "disk restart keeps a payload that reuses a number"
+      `Quick (fun () ->
+      (* First process: party 3 queues X (its sequence number 0) and is
+         paused; its log records the INIT but never the round that
+         delivers X.  Second process, on the same devices: party 3 starts
+         numbering at 0 again, so its fresh Y reuses X's number, and the
+         peers' snapshot covers that number.  Y is not X: it must be
+         renumbered and delivered, not dropped. *)
+      let devs = Array.init 4 (fun _ -> Store.Device.mem ()) in
+      let first = Util.cluster ~seed:"disk-reuse" ~max_batch:8 () in
+      let dups = dup_counters () in
+      let parties =
+        Array.init 4 (fun i -> counting_party first dups ~dev:devs.(i) i)
+      in
+      Cluster.inject first 3 (fun () ->
+        Atomic_channel.send (fst parties.(3)) "X");
+      Cluster.at first ~time:0.002 (fun () -> Cluster.crash first 3);
+      group_waves first parties ~waves:12;
+      ignore (Cluster.run first ~until:60.0);
+      Alcotest.(check bool) "party 3's log is not empty" true
+        (Store.Device.size devs.(3) > 0);
+      let c = Util.cluster ~seed:"disk-reuse" ~max_batch:8 () in
+      let dups = dup_counters ~mark:"Y" () in
+      let parties =
+        Array.init 4 (fun i -> counting_party c dups ~dev:devs.(i) i)
+      in
+      Cluster.inject c 3 (fun () -> Atomic_channel.send (fst parties.(3)) "Y");
+      group_waves c parties ~waves:4;
+      ignore (Cluster.run c ~until:60.0);
+      Alcotest.(check bool) "party 3 adopted a snapshot" true
+        (Durable.snapshots_adopted (snd parties.(3)) >= 1);
+      for i = 0 to 3 do
+        Alcotest.(check int) (Printf.sprintf "party %d delivers Y once" i)
+          1 dups.xs.(i)
+      done);
     Alcotest.test_case "tampered disk is distrusted, then re-fetched" `Quick
       (fun () ->
       (* Produce a compacted log with a snapshot, then corrupt the

@@ -360,4 +360,37 @@ let suite = [
           if List.length (List.sort_uniq compare l) <> 4 then
             Alcotest.failf "party %d saw a duplicate delivery" p)
         logs);
+
+  Alcotest.test_case "two domains from a cold start match the sequential runs"
+    `Quick (fun () ->
+      (* Dealer.memo keeps one key table per domain and lib/ holds no
+         module-level Hashtbl, ref or lazy value, so seeds can be swept in
+         parallel: two fresh domains (cold memo tables, dealing
+         concurrently), run before the sequential pass, must observe
+         exactly what the sequential runs then observe. *)
+      let jobs =
+        List.concat_map
+          (fun kind ->
+            List.init 2 (fun k ->
+              (kind, Vopr.Explorer.run_seed_of ~base:"domains" k)))
+          [ Vopr.Oracle.Atomic; Vopr.Oracle.Secure; Vopr.Oracle.Durable ]
+      in
+      let run (kind, run_seed) =
+        Vopr.Workload.run ~kind ~seed:run_seed
+          (Vopr.Workload.schedule ~kind ~run_seed)
+      in
+      let spawn r =
+        Domain.spawn (fun () ->
+          List.map run (List.filteri (fun i _ -> i mod 2 = r) jobs))
+      in
+      let d0 = spawn 0 and d1 = spawn 1 in
+      let parallel =
+        [| Array.of_list (Domain.join d0); Array.of_list (Domain.join d1) |]
+      in
+      let sequential = List.map run jobs in
+      List.iteri
+        (fun i ((_, run_seed), obs) ->
+          if obs <> parallel.(i mod 2).(i / 2) then
+            Alcotest.failf "%s: parallel observations differ" run_seed)
+        (List.combine jobs sequential));
 ]

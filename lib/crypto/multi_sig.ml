@@ -39,17 +39,21 @@ let deal ~(drbg : Hashes.Drbg.t) ~(modulus_bits : int) ~nparties ~k ~t () : keys
     shares;
   }
 
-let release (pub : public) (sk : secret_share) ~(ctx : string) (msg : string) : share =
+let release_prehashed (pub : public) (sk : secret_share) (ph : Rsa.prehash) : share =
   ignore pub;
-  { origin = sk.index; signature = Rsa.sign sk.key ~ctx msg }
+  { origin = sk.index; signature = Rsa.sign_prehashed sk.key ph }
+
+let release (pub : public) (sk : secret_share) ~(ctx : string) (msg : string) : share =
+  release_prehashed pub sk (Rsa.prehash ~ctx msg)
+
+let verify_share_prehashed (pub : public) (ph : Rsa.prehash) (s : share) : bool =
+  s.origin >= 1 && s.origin <= pub.nparties
+  && Rsa.verify_prehashed pub.party_keys.(s.origin - 1) ph ~signature:s.signature
 
 (* Staged: applying the message first builds one FDH memo that every share
    checked by the resulting closure reuses. *)
 let verify_share (pub : public) ~(ctx : string) (msg : string) : share -> bool =
-  let ph = Rsa.prehash ~ctx msg in
-  fun s ->
-    s.origin >= 1 && s.origin <= pub.nparties
-    && Rsa.verify_prehashed pub.party_keys.(s.origin - 1) ph ~signature:s.signature
+  verify_share_prehashed pub (Rsa.prehash ~ctx msg)
 
 (* An assembled multi-signature is the concatenation of k (origin, sig)
    pairs; a compact length-prefixed encoding. *)
@@ -96,14 +100,20 @@ let parse_assembled (s : string) : share list option =
       in
       go 4 count []
 
-let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
+(* Each component goes through the staged message, so one this party has
+   already verified (as a share, or in an earlier certificate) under the
+   same key is a list probe. *)
+let verify_prehashed (pub : public) (ph : Rsa.prehash) ~(signature : string) : bool =
   match parse_assembled signature with
   | None -> false
   | Some shares ->
     let distinct = List.sort_uniq compare (List.map (fun s -> s.origin) shares) in
     List.length distinct >= pub.k
     && List.length distinct = List.length shares
-    && List.for_all (verify_share pub ~ctx msg) shares
+    && List.for_all (verify_share_prehashed pub ph) shares
+
+let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
+  verify_prehashed pub (Rsa.prehash ~ctx msg) ~signature
 
 let signature_bytes (pub : public) : int =
   (* Size of an assembled multi-signature, for wire-cost accounting. *)

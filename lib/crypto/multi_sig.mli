@@ -34,10 +34,17 @@ val deal :
 val release : public -> secret_share -> ctx:string -> string -> share
 (** One ordinary (CRT) RSA signature. *)
 
+val release_prehashed : public -> secret_share -> Rsa.prehash -> share
+(** {!release} on a staged message. *)
+
 val verify_share : public -> ctx:string -> string -> share -> bool
 (** One RSA verification against the origin's public key.  Partially
     applied to a message, it hashes that message once for all the shares
     the closure checks. *)
+
+val verify_share_prehashed : public -> Rsa.prehash -> share -> bool
+(** {!verify_share} on a staged message: a (key, signature) pair that
+    already passed against it is accepted without an exponentiation. *)
 
 val assemble : public -> ctx:string -> string -> share list -> string
 (** Concatenate [k] shares from distinct origins (length-prefixed).
@@ -49,6 +56,11 @@ val parse_assembled : string -> share list option
 val verify : public -> ctx:string -> signature:string -> string -> bool
 (** At least [k] valid signatures from distinct parties, no duplicates;
     the message is hashed once, not once per signature. *)
+
+val verify_prehashed : public -> Rsa.prehash -> signature:string -> bool
+(** {!verify} on a staged message: each component is checked through it,
+    so one already verified against the message under the same key (as a
+    share or in an earlier certificate) costs a list probe. *)
 
 val signature_bytes : public -> int
 (** Size of an assembled multi-signature (larger than a threshold

@@ -42,12 +42,18 @@ val fdh : public -> ctx:string -> string -> Bignum.Nat.t
     message and [n]'s byte length. *)
 
 type prehash
-(** One message's FDH expansions, computed on first use and kept per
-    expansion length (a function of the modulus byte length), so checking
-    signatures under many keys hashes the message once per length. *)
+(** A staged message: its FDH expansions, computed on first use and kept
+    per expansion length (a function of the modulus byte length), so
+    checking signatures under many keys hashes the message once per length;
+    and the (key, signature) pairs that already verified against it, at
+    most one per key, so a repeated check is a list probe.  Host-side only:
+    outputs are those of {!fdh}, {!sign} and {!verify}. *)
 
 val prehash : ctx:string -> string -> prehash
-(** An empty memo for the message (no hashing happens yet). *)
+(** An empty stage for the message (no hashing happens yet). *)
+
+val fdh_prehashed : public -> prehash -> Bignum.Nat.t
+(** [fdh_prehashed pub (prehash ~ctx msg)] is [fdh pub ~ctx msg]. *)
 
 val crt_power : secret -> Bignum.Nat.t -> Bignum.Nat.t
 (** [x^d mod n] by the Chinese remainder theorem (~4x faster than the
@@ -56,13 +62,18 @@ val crt_power : secret -> Bignum.Nat.t -> Bignum.Nat.t
 val sign : secret -> ctx:string -> string -> string
 (** FDH signature, as a fixed-width byte string. *)
 
+val sign_prehashed : secret -> prehash -> string
+(** {!sign} on a staged message, sharing its expansion. *)
+
 val verify : public -> ctx:string -> signature:string -> string -> bool
 (** FDH verification: one short exponentiation ([e = 65537] is 17
     multiplications). *)
 
 val verify_prehashed : public -> prehash -> signature:string -> bool
-(** {!verify} against a shared memo: [verify_prehashed pub (prehash ~ctx
-    msg) ~signature] is [verify pub ~ctx ~signature msg]. *)
+(** {!verify} against a staged message: [verify_prehashed pub (prehash ~ctx
+    msg) ~signature] is [verify pub ~ctx ~signature msg].  A pair that
+    passed before (the same [(n, e)] and signature bytes) is accepted
+    without an exponentiation. *)
 
 val signature_bytes : public -> int
 (** Signature size, for wire-cost accounting. *)

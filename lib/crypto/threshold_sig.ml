@@ -104,9 +104,9 @@ let hash_challenge (parts : Nat.t list) : Nat.t =
   let b1 = Hashes.Sha256.digest_list [ "tsig-chal|1|"; joined ] in
   Nat.shift_right (Nat.of_bytes_be (b0 ^ b1)) (512 - challenge_bits)
 
-let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(ctx : string)
-    (msg : string) : share =
-  let x = message_rep pub ~ctx msg in
+let release_prehashed ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share)
+    (ph : Rsa.prehash) : share =
+  let x = Rsa.fdh_prehashed pub.rsa ph in
   let dlt = delta pub in
   let two_delta = Nat.shift_left dlt 1 in
   let n = pub.rsa.Rsa.n and pow = Nat.Montgomery.powmod pub.rsa.Rsa.n_ctx in
@@ -124,6 +124,10 @@ let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(ctx : s
   let z = Nat.add (Nat.mul sk.s_i c) r in
   { origin = sk.index; x_i; proof_v = v'; proof_x = x'; proof_z = z }
 
+let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(ctx : string)
+    (msg : string) : share =
+  release_prehashed ~drbg pub sk (Rsa.prehash ~ctx msg)
+
 (* The challenge a share's proof is checked against, given the message
    representative's xtilde = x^{4 Delta} (shared by every share on the same
    message — batch verification computes it once). *)
@@ -131,17 +135,20 @@ let share_challenge (pub : public) ~(xtilde : Nat.t) (s : share) : Nat.t =
   let x_i_sq = Nat.rem (Nat.sqr s.x_i) pub.rsa.Rsa.n in
   hash_challenge [ pub.v; xtilde; pub.vks.(s.origin - 1); x_i_sq; s.proof_v; s.proof_x ]
 
-let xtilde_rep (pub : public) ~(ctx : string) (msg : string) : Nat.t =
-  let x = message_rep pub ~ctx msg in
+let xtilde_prehashed (pub : public) (ph : Rsa.prehash) : Nat.t =
+  let x = Rsa.fdh_prehashed pub.rsa ph in
   Nat.Montgomery.powmod pub.rsa.Rsa.n_ctx x (Nat.shift_left (delta pub) 2)
 
-let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
+let xtilde_rep (pub : public) ~(ctx : string) (msg : string) : Nat.t =
+  xtilde_prehashed pub (Rsa.prehash ~ctx msg)
+
+let verify_share_prehashed (pub : public) (ph : Rsa.prehash) (s : share) : bool =
   s.origin >= 1 && s.origin <= pub.nparties
   && Nat.compare s.x_i pub.rsa.Rsa.n < 0
   && not (Nat.is_zero s.x_i)
   && begin
     let n = pub.rsa.Rsa.n and pow = Nat.Montgomery.powmod pub.rsa.Rsa.n_ctx in
-    let xtilde = xtilde_rep pub ~ctx msg in
+    let xtilde = xtilde_prehashed pub ph in
     let x_i_sq = Nat.rem (Nat.sqr s.x_i) n in
     let c = share_challenge pub ~xtilde s in
     (* Check v^z = v' * v_i^c and xtilde^z = x' * (x_i^2)^c.  All exponents
@@ -153,6 +160,9 @@ let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : boo
       (Nat.rem (Nat.mul s.proof_v (pow pub.vks.(s.origin - 1) c)) n)
     && Nat.equal (pow xtilde s.proof_z) (Nat.rem (Nat.mul s.proof_x (pow x_i_sq c)) n)
   end
+
+let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
+  verify_share_prehashed pub (Rsa.prehash ~ctx msg) s
 
 (* The textbook verification path: both equations by plain modular
    exponentiation, no fixed-base table — the reference twin of
@@ -234,6 +244,9 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
 
 (* Verify an assembled signature: plain RSA verification, usable by anyone
    holding only (n, e). *)
+let verify_prehashed (pub : public) (ph : Rsa.prehash) ~(signature : string) : bool =
+  Rsa.verify_prehashed pub.rsa ph ~signature
+
 let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
   Rsa.verify pub.rsa ~ctx ~signature msg
 

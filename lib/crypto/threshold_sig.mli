@@ -59,6 +59,10 @@ val release : drbg:Hashes.Drbg.t -> public -> secret_share -> ctx:string -> stri
     correctness; the proof commitment [v^r] rides the {!v_tbl}
     fixed-base table. *)
 
+val release_prehashed :
+  drbg:Hashes.Drbg.t -> public -> secret_share -> Rsa.prehash -> share
+(** {!release} on a staged message, sharing its FDH expansion. *)
+
 val xtilde_rep : public -> ctx:string -> string -> Bignum.Nat.t
 (** [xtilde = x^(4*Delta) mod n] for the message representative [x] — the
     common base of every share proof on the same message.  Exposed so batch
@@ -75,6 +79,9 @@ val verify_share : public -> ctx:string -> string -> share -> bool
     exponents positive (no inversions); the [v]-power is a fixed-base
     table walk ({!v_tbl}) and the challenge powers are short. *)
 
+val verify_share_prehashed : public -> Rsa.prehash -> share -> bool
+(** {!verify_share} on a staged message, sharing its FDH expansion. *)
+
 val verify_share_reference : public -> ctx:string -> string -> share -> bool
 (** The textbook path: {!verify_share}'s exact accept set computed with
     plain modular exponentiations only (no fixed-base table) — the
@@ -88,6 +95,10 @@ val assemble : public -> ctx:string -> string -> share list -> string
 
 val verify : public -> ctx:string -> signature:string -> string -> bool
 (** Plain RSA verification — usable by anyone holding only [(n, e)]. *)
+
+val verify_prehashed : public -> Rsa.prehash -> signature:string -> bool
+(** {!verify} on a staged message ({!Rsa.verify_prehashed}): a signature
+    that already passed against it is a list probe. *)
 
 val signature_bytes : public -> int
 (** Size of an assembled signature ([|n|] bytes), for wire-cost

@@ -141,6 +141,19 @@ let digest_list (parts : string list) : string =
   List.iter (feed_string ctx) parts;
   finish ctx
 
+(* Each part behind its 8-byte big-endian length: the input encodes the
+   list injectively, so moving bytes across a part boundary changes it. *)
+let digest_framed (parts : string list) : string =
+  let ctx = init () in
+  let len = Bytes.create 8 in
+  List.iter
+    (fun p ->
+      Bytes.set_int64_be len 0 (Int64.of_int (String.length p));
+      feed_string ctx (Bytes.unsafe_to_string len);
+      feed_string ctx p)
+    parts;
+  finish ctx
+
 let hex_digits = "0123456789abcdef"
 
 let hex_of_digest (d : string) : string =

@@ -20,7 +20,14 @@ val digest : string -> string
 (** One-shot 32-byte digest. *)
 
 val digest_list : string list -> string
-(** Digest of the concatenation, without building it. *)
+(** Digest of the concatenation, without building it.  Distinct lists can
+    share a concatenation, so this is no key for a list of variable-length
+    parts; use {!digest_framed}. *)
+
+val digest_framed : string list -> string
+(** Digest of the parts, each preceded by its length as 8 big-endian
+    bytes: distinct lists never share an input, so the digest identifies
+    the list (up to SHA-256 collisions). *)
 
 val hex_of_digest : string -> string
 (** Lowercase hex of an arbitrary byte string. *)

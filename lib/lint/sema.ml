@@ -23,15 +23,21 @@
                      the Config/Invariant helpers so they stay consistent
                      with the n > 3t validation.
    S5 cache-key-digest a Share_cache.add insertion whose [~digest] key is
-                     not visibly a Hashes digest: raw statement bytes as
-                     keys defeat the cache's fixed-size-key contract (and
-                     its runtime length check only fires when the bad path
-                     executes).  The key expression's head — or, for a
+                     not visibly a framed Hashes digest: raw statement
+                     bytes as keys defeat the cache's fixed-size-key
+                     contract (and its runtime length check only fires
+                     when the bad path executes), and a digest of unframed
+                     parts lets bytes shift across a part boundary into a
+                     cached key.  The key expression's head — or, for a
                      punned [~digest], its [let]-binding in the same item —
-                     must be a [Hashes.Sha1/Sha256.digest*] call or a
-                     helper whose name ends in [digest]; an item that
-                     receives [~digest] as a parameter is a trusted
-                     forwarder (its callers are in scope instead).
+                     must be a [Hashes.Sha1/Sha256.digest] or
+                     [digest_framed] call, a [digest_list] over a
+                     one-element list literal, or a helper whose name ends
+                     in [digest]; in a file that inserts, such a helper's
+                     own body may not call [digest_list] over anything
+                     else.  An item that receives [~digest] as a parameter
+                     is a trusted forwarder (its callers are in scope
+                     instead).
    S6 durable-io     raw file I/O (open_in/open_out and friends,
                      In_channel/Out_channel, Sys.remove/Sys.rename) under
                      lib/store or lib/sintra: every durable byte must flow
@@ -60,7 +66,7 @@ let rule_names : (string * string) list = [
   (s2, "priced crypto call without the paired Charge.* meter entry in the same function");
   (s3, "message constructor not both constructed (send) and matched (receive)");
   (s4, "inline quorum arithmetic on Config.n/Config.t; use the Config helpers");
-  (s5, "Share_cache insertion keyed by something other than a Hashes digest");
+  (s5, "Share_cache insertion keyed by something other than a framed Hashes digest");
   (s6, "raw file I/O outside the Store.Device seam in lib/store or lib/sintra");
 ]
 
@@ -206,6 +212,7 @@ let priced_ops : (string * string) list = [
   ("Crypto.Rsa.verify", "rsa_verify");
   ("Hashes.Sha256.digest", "hash");
   ("Hashes.Sha256.digest_list", "hash");
+  ("Hashes.Sha256.digest_framed", "hash");
 ]
 
 let priced_charge (tok : string) : string option =
@@ -411,12 +418,14 @@ let check_s4_item (src : Source.t) (it : item) : finding list =
 
 (* --- S5: cache-key-digest --- *)
 
-(* An expression head that visibly produces a digest: a Hashes.Sha* digest
-   call, or a lowercase helper whose name ends in "digest" (stmt_digest,
-   coin_digest, ... — the naming convention carries the obligation). *)
+(* An expression head that visibly produces a digest: a Hashes.Sha*
+   digest call, or a lowercase helper whose name ends in "digest"
+   (key_digest, coin_digest, ... — the naming convention carries the
+   obligation, which {!check_s5_helpers} enforces on the helper's body). *)
 let s5_producer (tok : string) : bool =
   qualified_matches tok "Hashes.Sha256.digest"
   || qualified_matches tok "Hashes.Sha256.digest_list"
+  || qualified_matches tok "Hashes.Sha256.digest_framed"
   || qualified_matches tok "Hashes.Sha1.digest"
   || (match List.rev (segs_of_tok tok) with
       | last :: _ ->
@@ -425,6 +434,37 @@ let s5_producer (tok : string) : bool =
         (not (is_cap last)) && n >= m && String.sub last (n - m) m = suf
       | [] -> false)
 
+let is_digest_list (tok : string) : bool =
+  qualified_matches tok "Hashes.Sha256.digest_list"
+  || qualified_matches tok "Hashes.Sha1.digest_list"
+
+(* Whether the tokens from [k] are a one-element list literal [[ x ]]: the
+   only digest_list argument whose concatenation cannot be reproduced by
+   a different list.  Anything else — several parts, or a list variable —
+   is unframed: shifting bytes across a part boundary keeps the digest. *)
+let singleton_list (toks : Lex.token array) (k : int) : bool =
+  let n = Array.length toks in
+  k < n && toks.(k).Lex.text = "["
+  && begin
+    let rec scan j depth =
+      if j >= n then false
+      else
+        match toks.(j).Lex.text with
+        | "[" | "(" | "{" | "[|" -> scan (j + 1) (depth + 1)
+        | "]" | ")" | "}" | "|]" ->
+          if depth = 1 then true else scan (j + 1) (depth - 1)
+        | ";" when depth = 1 -> false
+        | _ -> scan (j + 1) depth
+    in
+    k + 1 < n && toks.(k + 1).Lex.text <> "]" && scan (k + 1) 1
+  end
+
+(* A key expression head at [j] that visibly produces a framed digest. *)
+let s5_head_ok (toks : Lex.token array) (j : int) : bool =
+  toks.(j).Lex.kind = Lex.Word
+  && s5_producer toks.(j).Lex.text
+  && ((not (is_digest_list toks.(j).Lex.text)) || singleton_list toks (j + 1))
+
 (* The position of the defining [=] of a [let] item: label punning before
    it is a parameter declaration, after it an argument. *)
 let defining_eq (toks : Lex.token array) : int =
@@ -432,19 +472,25 @@ let defining_eq (toks : Lex.token array) : int =
   let rec find k = if k >= n then n else if toks.(k).Lex.text = "=" then k else find (k + 1) in
   find 0
 
+(* Whether the item calls Share_cache.add. *)
+let s5_inserts (it : item) : bool =
+  let toks = it.it_toks in
+  let n = Array.length toks in
+  let rec scan k =
+    k < n - 1
+    && ((toks.(k).Lex.kind = Lex.Word
+         && qualified_matches toks.(k).Lex.text "Share_cache.add"
+         && starts_argument toks.(k + 1))
+        || scan (k + 1))
+  in
+  scan 0
+
 let check_s5_item (src : Source.t) (it : item) : finding list =
   if it.it_kind = "type" || it.it_kind = "exception" then []
   else begin
     let toks = it.it_toks in
     let n = Array.length toks in
-    let inserts = ref false in
-    for k = 0 to n - 2 do
-      if toks.(k).Lex.kind = Lex.Word
-         && qualified_matches toks.(k).Lex.text "Share_cache.add"
-         && starts_argument toks.(k + 1)
-      then inserts := true
-    done;
-    if not !inserts then []
+    if not (s5_inserts it) then []
     else begin
       let eq = defining_eq toks in
       (* [~digest] (or [~(digest : ...)]) before the defining [=] makes this
@@ -464,8 +510,7 @@ let check_s5_item (src : Source.t) (it : item) : finding list =
         if toks.(k).Lex.text = "let" && toks.(k + 1).Lex.text = "digest"
            && toks.(k + 2).Lex.text = "="
            && k + 3 < n
-           && toks.(k + 3).Lex.kind = Lex.Word
-           && s5_producer toks.(k + 3).Lex.text
+           && s5_head_ok toks (k + 3)
         then let_bound_ok := true
       done;
       let out = ref [] in
@@ -486,27 +531,69 @@ let check_s5_item (src : Source.t) (it : item) : finding list =
             (* explicit argument: check the head of the expression *)
             let head =
               if k + 3 < n && toks.(k + 3).Lex.text = "(" && k + 4 < n
-              then Some toks.(k + 4)
-              else if k + 3 < n then Some toks.(k + 3)
+              then Some (k + 4)
+              else if k + 3 < n then Some (k + 3)
               else None
             in
             match head with
-            | Some h when h.Lex.kind = Lex.Word && s5_producer h.Lex.text -> ()
-            | Some h ->
+            | Some j when s5_head_ok toks j -> ()
+            | Some j ->
               flag line
-                (Printf.sprintf "cache key [~digest:%s...] is not a digest"
-                   h.Lex.text)
+                (Printf.sprintf
+                   "cache key [~digest:%s...] is not a framed digest"
+                   toks.(j).Lex.text)
             | None -> flag line "cache key [~digest:] has no argument"
           end
           else if not !wrapper && not !let_bound_ok then
             flag line
-              "punned [~digest] is not let-bound from a digest in this \
-               function"
+              "punned [~digest] is not let-bound from a framed digest in \
+               this function"
         end
       done;
       List.rev !out
     end
   end
+
+(* In a file that inserts into a Share_cache, every helper whose name ends
+   in "digest" is trusted as a key producer by {!s5_producer}, so its body
+   must not digest unframed parts: a [Hashes.*.digest_list] call over
+   anything but a one-element list literal is flagged. *)
+let check_s5_helpers (src : Source.t) (items : item list) : finding list =
+  if not (List.exists s5_inserts items) then []
+  else
+    List.concat_map
+      (fun it ->
+        let toks = it.it_toks in
+        let n = Array.length toks in
+        let name =
+          if it.it_kind <> "let" && it.it_kind <> "and" then None
+          else if n > 2 && toks.(1).Lex.text = "rec" then Some toks.(2)
+          else if n > 1 then Some toks.(1)
+          else None
+        in
+        match name with
+        | Some nm
+          when nm.Lex.kind = Lex.Word && s5_producer nm.Lex.text
+               && not (String.contains nm.Lex.text '.') ->
+          List.filter_map
+            (fun k ->
+              let t = toks.(k) in
+              if t.Lex.kind = Lex.Word && is_digest_list t.Lex.text
+                 && not (singleton_list toks (k + 1))
+                 && not (Source.allowed src ~rule:s5 ~line:t.Lex.line)
+              then
+                Some
+                  { file = Source.path src; line = t.Lex.line; rule = s5;
+                    message =
+                      Printf.sprintf
+                        "cache-key helper %s digests unframed parts with %s; \
+                         distinct part lists can share a concatenation, so \
+                         use Hashes.Sha256.digest_framed"
+                        nm.Lex.text t.Lex.text }
+              else None)
+            (List.init n Fun.id)
+        | Some _ | None -> [])
+      items
 
 (* --- S6: durable I/O seam --- *)
 
@@ -584,7 +671,9 @@ let check_tree (files : (Source.t * Lex.token list) list) : finding list =
           else []
         in
         let f5 =
-          if s5_scope path then List.concat_map (check_s5_item src) items
+          if s5_scope path then
+            List.concat_map (check_s5_item src) items
+            @ check_s5_helpers src items
           else []
         in
         let f6 = if s6_scope path then check_s6 src sig_toks else [] in

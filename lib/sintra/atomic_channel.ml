@@ -222,6 +222,32 @@ let inflight_rounds (t : t) : int =
   done;
   !count
 
+(* [String.length] of the items' wire encoding, without encoding them. *)
+let items_wire_bytes (items : item list) : int =
+  List.fold_left
+    (fun acc it ->
+      let len = String.length it.it_payload in
+      acc + Wire.int_size it.it_orig + Wire.int_size it.it_seq
+      + Wire.int_size len + len)
+    (Wire.int_size (List.length items))
+    items
+
+(* Whether the INIT pool holds an entry equal to [en] for its round and
+   signer: the same signature over the same items.  Pooled entries were
+   verified on arrival (or are our own), so an equal one gets the same
+   verdict without being re-encoded, rehashed or re-verified. *)
+let pooled (t : t) ~(round : int) (en : entry) : bool =
+  match Hashtbl.find_opt t.inits round with
+  | None -> false
+  | Some tbl ->
+    (match Hashtbl.find_opt tbl en.en_signer with
+     | Some (_, p) -> String.equal p.en_sig en.en_sig && p.en_items = en.en_items
+     | None -> false)
+
+(* A pooled entry still pays the full check's charges, in the same order:
+   the verification, then hashing the encoded vector.  Counters
+   "abc.init_reused" and "abc.init_verified" split the two paths, and a
+   traced run marks each real verification with an "init_verify" instant. *)
 let entry_signature_valid (t : t) ~(round : int) (en : entry) : bool =
   en.en_signer >= 0 && en.en_signer < t.rt.Runtime.cfg.Config.n
   && List.for_all
@@ -231,9 +257,24 @@ let entry_signature_valid (t : t) ~(round : int) (en : entry) : bool =
        en.en_items
   && begin
     Charge.rsa_verify t.rt.Runtime.charge;
-    Crypto.Rsa.verify t.rt.Runtime.keys.Dealer.sign_pks.(en.en_signer)
-      ~ctx:t.pid ~signature:en.en_sig
-      (init_stmt t ~round ~signer:en.en_signer en.en_items)
+    if pooled t ~round en then begin
+      Charge.hash t.rt.Runtime.charge ~bytes:(items_wire_bytes en.en_items);
+      Trace.Ctx.incr t.rt.Runtime.trace "abc.init_reused";
+      true
+    end
+    else begin
+      let tr = t.rt.Runtime.trace in
+      Trace.Ctx.incr tr "abc.init_verified";
+      if Trace.Ctx.enabled tr then
+        Trace.Ctx.instant tr ~pid:t.pid ~cat:"abc"
+          ~args:
+            [ ("round", Trace.Event.Int round);
+              ("signer", Trace.Event.Int en.en_signer) ]
+          "init_verify";
+      Crypto.Rsa.verify t.rt.Runtime.keys.Dealer.sign_pks.(en.en_signer)
+        ~ctx:t.pid ~signature:en.en_sig
+        (init_stmt t ~round ~signer:en.en_signer en.en_items)
+    end
   end
 
 (* External validity for a round's batch: B entries, distinct signers, no

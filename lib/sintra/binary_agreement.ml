@@ -337,11 +337,9 @@ let send_prevote (t : t) (r : int) (b : bool) (just : justification) : unit =
   if not st.sent_prevote then begin
     st.sent_prevote <- true;
     trace_round t r Trace.Event.Span_begin;
-    let charge = t.rt.Runtime.charge in
-    Charge.tsig_release charge;
     let share =
-      Tsig.release ~drbg:t.rt.Runtime.drbg t.rt.Runtime.keys.Dealer.ag_tsig
-        ~ctx:t.pid (pre_stmt t r b)
+      Verify.tsig_release t.rt t.rt.Runtime.keys.Dealer.ag_tsig ~ctx:t.pid
+        (pre_stmt t r b)
     in
     let proof = Hashtbl.find_opt t.proofs b in
     let pv = { pv_round = r; pv_value = b; pv_share = share; pv_just = just; pv_proof = proof } in
@@ -358,7 +356,7 @@ let send_prevote (t : t) (r : int) (b : bool) (just : justification) : unit =
      | Some _ | None ->
        if t.rt.Runtime.cfg.Config.coin_pregen && st.pregen_coin = None
        then begin
-         Charge.coin_release charge;
+         Charge.coin_release t.rt.Runtime.charge;
          st.pregen_coin <-
            Some
              (Crypto.Threshold_coin.release ~drbg:t.rt.Runtime.drbg
@@ -394,10 +392,9 @@ let try_send_mainvote (t : t) (r : int) : unit =
       | pv0 :: _, pv1 :: _ -> (MV_abstain, MJ_abstain (pv0, pv1))
       | [], [] -> assert false
     in
-    Charge.tsig_release charge;
     let share =
-      Tsig.release ~drbg:t.rt.Runtime.drbg t.rt.Runtime.keys.Dealer.ag_tsig
-        ~ctx:t.pid (main_stmt t r value)
+      Verify.tsig_release t.rt t.rt.Runtime.keys.Dealer.ag_tsig ~ctx:t.pid
+        (main_stmt t r value)
     in
     let mv = { mv_round = r; mv_value = value; mv_share = share; mv_just = just } in
     let body = Wire.encode (fun buf -> Wire.Enc.u8 buf tag_mainvote; enc_mainvote buf mv) in

@@ -85,9 +85,8 @@ let handle (t : t) ~src body =
           t.echoed_payload <- Some payload;
           if t.rt.Runtime.me <> t.sender then
             Trace.Ctx.span_begin (trace t) ~pid:t.pid ~cat:"bcast" "echo";
-          Charge.tsig_release charge;
           let share =
-            Tsig.release ~drbg:t.rt.Runtime.drbg t.rt.Runtime.keys.Dealer.bc_tsig
+            Verify.tsig_release t.rt t.rt.Runtime.keys.Dealer.bc_tsig
               ~ctx:t.pid (statement ~pid:t.pid payload)
           in
           let body =

@@ -216,10 +216,9 @@ let begin_checkpoint (t : t) ~(cp_round : int) : unit =
     Trace.Ctx.span_begin tr ~pid:t.dpid ~cat:"store"
       ~args:[ ("round", Trace.Event.Int cp_round) ]
       (Printf.sprintf "checkpoint %d" cp_round);
-  Charge.tsig_release t.charge;
   let share =
-    Tsig.release ~drbg:t.drbg t.rt.Runtime.keys.Dealer.ag_tsig
-      ~ctx:t.dpid stmt
+    Verify.tsig_release ~charge:t.charge ~drbg:t.drbg t.rt
+      t.rt.Runtime.keys.Dealer.ag_tsig ~ctx:t.dpid stmt
   in
   Runtime.broadcast_store t.rt ~pid:t.dpid
     (Wire.encode (fun b -> enc_msg b (Cp_share (cp_round, share))));

@@ -30,6 +30,8 @@ type t = {
   cache : Crypto.Share_cache.t;
       (* verified shares, grouped by pid; volatile (cleared on crash),
          a pid's group is evicted when the instance unregisters *)
+  staged : Crypto.Statement.table;
+      (* staged statements, host-only, with the cache's lifecycle *)
 }
 
 let orphan_cap_per_pid = 4096
@@ -52,6 +54,11 @@ let envelope ~(pid : string) (body : string) : string =
   Wire.encode (fun b ->
     Wire.Enc.bytes b pid;
     Wire.Enc.bytes b body)
+
+(* Staged statements kept per party.  Each protocol instance stages a few
+   (a CBC instance one, an ABA round two or three) and unregistering it
+   drops them, so only a flood of never-collected ctxs reaches this. *)
+let staged_cap = 512
 
 let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     ~(keys : Dealer.party_keys) : t =
@@ -77,6 +84,7 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     rebuild = [];
     incarnation = 0;
     cache = Crypto.Share_cache.create ~cap:cfg.Config.share_cache_cap;
+    staged = Crypto.Statement.table ~cap:staged_cap;
   }
   in
   Sim.Net.set_handler net me (fun ~src payload ->
@@ -166,7 +174,8 @@ let unregister (rt : t) ~(pid : string) : unit =
   Hashtbl.remove rt.handlers pid;
   (* The instance is gone: its cached verification state must go with it,
      so a replayed frame arriving after GC cannot resurrect it. *)
-  Crypto.Share_cache.evict_group rt.cache pid
+  Crypto.Share_cache.evict_group rt.cache pid;
+  Crypto.Statement.evict_group rt.staged pid
 
 (* Tag the in-flight dispatch with its decoded protocol message kind, so
    the causal analyzer can label the hop ("vcbc.echo", "aba.coinshare"…).
@@ -224,6 +233,7 @@ let crash (rt : t) : unit =
   Hashtbl.reset rt.store_handlers;
   Hashtbl.reset rt.orphans;
   Crypto.Share_cache.clear rt.cache;
+  Crypto.Statement.clear rt.staged;
   Trace.Ctx.instant rt.trace ~pid:"runtime" ~cat:"runtime"
     ~level:Trace.Event.Warn "crash"
 

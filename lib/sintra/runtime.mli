@@ -36,6 +36,10 @@ type t = {
   (** Verified shares, grouped by protocol instance (pid): {!unregister}
       evicts the pid's group, {!crash} clears everything — the cache is
       volatile and can never outlive the state it summarizes. *)
+  staged : Crypto.Statement.table;
+  (** Staged statements (read through {!Verify}), with the cache's lifecycle:
+      {!unregister} evicts the pid's group, {!crash} clears everything.
+      Host-only: it charges nothing and changes no verdict. *)
 }
 
 val create :

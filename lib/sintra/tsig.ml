@@ -28,24 +28,24 @@ let share_origin = function
   | Shoup_share s -> s.Crypto.Threshold_sig.origin
   | Multi_share s -> s.Crypto.Multi_sig.origin
 
-let release ~(drbg : Hashes.Drbg.t) (sec : secret) ~(ctx : string) (msg : string) : share =
+let release_prehashed ~(drbg : Hashes.Drbg.t) (sec : secret) (ph : Crypto.Rsa.prehash)
+    : share =
   match sec with
-  | Shoup_sec (pub, sk) -> Shoup_share (Crypto.Threshold_sig.release ~drbg pub sk ~ctx msg)
-  | Multi_sec (pub, sk) -> Multi_share (Crypto.Multi_sig.release pub sk ~ctx msg)
+  | Shoup_sec (pub, sk) -> Shoup_share (Crypto.Threshold_sig.release_prehashed ~drbg pub sk ph)
+  | Multi_sec (pub, sk) -> Multi_share (Crypto.Multi_sig.release_prehashed pub sk ph)
 
-(* Staged like [Multi_sig.verify_share]: a closure over one message shares
-   that message's FDH memo across multi-signature shares. *)
+let release ~(drbg : Hashes.Drbg.t) (sec : secret) ~(ctx : string) (msg : string) : share =
+  release_prehashed ~drbg sec (Crypto.Rsa.prehash ~ctx msg)
+
+let verify_share_prehashed (pub : public) (ph : Crypto.Rsa.prehash) (s : share) : bool =
+  match pub, s with
+  | Shoup_pub p, Shoup_share sh -> Crypto.Threshold_sig.verify_share_prehashed p ph sh
+  | Multi_pub p, Multi_share sh -> Crypto.Multi_sig.verify_share_prehashed p ph sh
+  | Shoup_pub _, Multi_share _ | Multi_pub _, Shoup_share _ -> false
+
+(* Staged: a closure over one message shares its FDH memo across shares. *)
 let verify_share (pub : public) ~(ctx : string) (msg : string) : share -> bool =
-  match pub with
-  | Shoup_pub p ->
-    (function
-      | Shoup_share sh -> Crypto.Threshold_sig.verify_share p ~ctx msg sh
-      | Multi_share _ -> false)
-  | Multi_pub p ->
-    let check = Crypto.Multi_sig.verify_share p ~ctx msg in
-    (function
-      | Multi_share sh -> check sh
-      | Shoup_share _ -> false)
+  verify_share_prehashed pub (Crypto.Rsa.prehash ~ctx msg)
 
 let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list) : string =
   match pub with
@@ -60,10 +60,13 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
     in
     Crypto.Multi_sig.assemble p ~ctx msg shares
 
-let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
+let verify_prehashed (pub : public) (ph : Crypto.Rsa.prehash) ~(signature : string) : bool =
   match pub with
-  | Shoup_pub p -> Crypto.Threshold_sig.verify p ~ctx ~signature msg
-  | Multi_pub p -> Crypto.Multi_sig.verify p ~ctx ~signature msg
+  | Shoup_pub p -> Crypto.Threshold_sig.verify_prehashed p ph ~signature
+  | Multi_pub p -> Crypto.Multi_sig.verify_prehashed p ph ~signature
+
+let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
+  verify_prehashed pub (Crypto.Rsa.prehash ~ctx msg) ~signature
 
 let signature_bytes (pub : public) : int =
   match pub with

@@ -31,10 +31,19 @@ val release : drbg:Hashes.Drbg.t -> secret -> ctx:string -> string -> share
 (** This party's signature share on a message; [ctx] domain-separates
     protocol instances so shares cannot be replayed across them. *)
 
+val release_prehashed : drbg:Hashes.Drbg.t -> secret -> Crypto.Rsa.prehash -> share
+(** {!release} on a staged message ({!Crypto.Statement.prehash}), sharing
+    its FDH expansion with every later check on the same message. *)
+
 val verify_share : public -> ctx:string -> string -> share -> bool
 (** Check one received share (and its proof) against the message.
     Partially applied to a message, the closure hashes it once for every
     multi-signature share it checks. *)
+
+val verify_share_prehashed : public -> Crypto.Rsa.prehash -> share -> bool
+(** {!verify_share} on a staged message: it accepts exactly what
+    {!verify_share} accepts, and a multi-signature share already verified
+    against the message is a list probe. *)
 
 val assemble : public -> ctx:string -> string -> share list -> string
 (** @raise Invalid_argument with fewer than [k] distinct valid-scheme
@@ -42,6 +51,12 @@ val assemble : public -> ctx:string -> string -> share list -> string
 
 val verify : public -> ctx:string -> signature:string -> string -> bool
 (** Check an assembled group signature on a message. *)
+
+val verify_prehashed : public -> Crypto.Rsa.prehash -> signature:string -> bool
+(** {!verify} on a staged message: it accepts exactly what {!verify}
+    accepts, and each RSA signature already verified against the message
+    under the same key (a multi-signature component seen as a share, or a
+    whole Shoup signature) is a list probe. *)
 
 val signature_bytes : public -> int
 (** Wire size of an assembled signature, for bandwidth accounting. *)

@@ -31,14 +31,49 @@ let sch_enc = "enc-share"
 let len_sum (parts : string list) : int =
   List.fold_left (fun a s -> a + String.length s) 0 parts
 
+(* --- staged statements --- *)
+
+(* The party's staged statement for (ctx, msg): its framed digest and FDH
+   stage are computed at most once while the owning instance lives.
+   Host-only — nothing here is charged.  A traced run also marks each
+   staging with a "stage" instant naming the statement's digest, so a test
+   can check that no statement is staged twice. *)
+let stage (rt : Runtime.t) ~(ctx : string) (msg : string) : Crypto.Statement.t =
+  let st, hit = Crypto.Statement.stage rt.Runtime.staged ~ctx msg in
+  let tr = rt.Runtime.trace in
+  if hit then Trace.Ctx.incr tr "verify.stage_hit"
+  else begin
+    Trace.Ctx.incr tr "verify.stage_miss";
+    if Trace.Ctx.enabled tr then
+      Trace.Ctx.instant tr ~pid:ctx ~cat:"verify"
+        ~args:
+          [ ("stmt",
+             Trace.Event.Str
+               (Hashes.Sha256.hex_of_digest (Crypto.Statement.digest st))) ]
+        "stage"
+  end;
+  st
+
 (* The S5 lint rule (cache-key-digest) checks that every Share_cache
-   insertion is keyed through a Hashes digest; this is that digest.
-   [charge] names the meter the hashing cost lands on: the party's
-   protocol CPU by default, or the storage core when a durability
-   endpoint verifies checkpoint certificates out-of-band. *)
-let stmt_digest (charge : Charge.t) (parts : string list) : string =
+   insertion is keyed through a framed Hashes digest; these are those
+   digests.  [charge] names the meter the hashing cost lands on: the
+   party's protocol CPU by default, or the storage core when a durability
+   endpoint verifies checkpoint certificates out-of-band.
+
+   A key over a staged statement hashes only the statement's digest and
+   [extra] (the share or signature bytes), but charges what hashing the
+   statement itself would: the simulated CPU pays per byte, as it always
+   has; only the host stops rehashing the statement. *)
+let key_digest (charge : Charge.t) (st : Crypto.Statement.t) (extra : string)
+    : string =
+  Charge.hash charge
+    ~bytes:(String.length (Crypto.Statement.ctx st)
+            + String.length (Crypto.Statement.msg st) + String.length extra);
+  Hashes.Sha256.digest_framed [ Crypto.Statement.digest st; extra ]
+
+let parts_digest (charge : Charge.t) (parts : string list) : string =
   Charge.hash charge ~bytes:(len_sum parts);
-  Hashes.Sha256.digest_list parts
+  Hashes.Sha256.digest_framed parts
 
 let probe (rt : Runtime.t) ~(charge : Charge.t) ~(scheme : string)
     ~(digest : string) ~(sender : int) ~(index : int) : bool =
@@ -67,20 +102,31 @@ let record (rt : Runtime.t) ~(group : string) ~(scheme : string)
 
 (* --- threshold-signature shares --- *)
 
-let tsig_share_digest (charge : Charge.t) ~(ctx : string) (msg : string)
+(* Release our share on (ctx, msg) through the staged statement, so the
+   checks that follow on the same statement reuse its FDH expansion. *)
+let tsig_release ?charge ?drbg (rt : Runtime.t) (sec : Tsig.secret)
+    ~(ctx : string) (msg : string) : Tsig.share =
+  let charge = Option.value charge ~default:rt.Runtime.charge in
+  let drbg = Option.value drbg ~default:rt.Runtime.drbg in
+  Charge.tsig_release charge;
+  Tsig.release_prehashed ~drbg sec
+    (Crypto.Statement.prehash (stage rt ~ctx msg))
+
+let share_digest (charge : Charge.t) (st : Crypto.Statement.t)
     (share : Tsig.share) : string =
-  stmt_digest charge [ ctx; msg; Wire.encode (fun b -> Tsig.enc_share b share) ]
+  key_digest charge st (Wire.encode (fun b -> Tsig.enc_share b share))
 
 let tsig_share ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
     (msg : string) (share : Tsig.share) : bool =
   let charge = Option.value charge ~default:rt.Runtime.charge in
-  let digest = tsig_share_digest charge ~ctx msg share in
+  let st = stage rt ~ctx msg in
+  let digest = share_digest charge st share in
   let sender = Tsig.share_origin share in
   if probe rt ~charge ~scheme:sch_tsig_share ~digest ~sender ~index:sender
   then true
   else begin
     Charge.tsig_verify_share charge;
-    let ok = Tsig.verify_share pub ~ctx msg share in
+    let ok = Tsig.verify_share_prehashed pub (Crypto.Statement.prehash st) share in
     if ok then
       record rt ~group:ctx ~scheme:sch_tsig_share ~digest ~sender
         ~index:sender;
@@ -95,11 +141,10 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
     (msg : string) (shares : Tsig.share list) : bool array =
   let charge = Option.value charge ~default:rt.Runtime.charge in
   let cfg = rt.Runtime.cfg in
+  let st = stage rt ~ctx msg in
   let n = List.length shares in
   let valid = Array.make n false in
-  let keyed =
-    List.mapi (fun i s -> (i, tsig_share_digest charge ~ctx msg s, s)) shares
-  in
+  let keyed = List.mapi (fun i s -> (i, share_digest charge st s, s)) shares in
   let fresh =
     List.filter
       (fun (i, digest, s) ->
@@ -151,13 +196,13 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
       shoup
   end
   else begin
-    (* One closure for the whole list: multi-signature shares of the same
-       message share its FDH expansion. *)
-    let check = Tsig.verify_share pub ~ctx msg in
+    (* Multi-signature shares of the same message share its staged FDH
+       expansion. *)
+    let ph = Crypto.Statement.prehash st in
     List.iter
       (fun (i, digest, s) ->
         Charge.tsig_verify_share charge;
-        if check s then accept (i, digest, s))
+        if Tsig.verify_share_prehashed pub ph s then accept (i, digest, s))
       fresh
   end;
   valid
@@ -170,11 +215,12 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
 let tsig_signature ?charge (rt : Runtime.t) ~(pub : Tsig.public)
     ~(ctx : string) ~(signature : string) (msg : string) : bool =
   let charge = Option.value charge ~default:rt.Runtime.charge in
-  let digest = stmt_digest charge [ ctx; msg; signature ] in
+  let st = stage rt ~ctx msg in
+  let digest = key_digest charge st signature in
   if probe rt ~charge ~scheme:sch_tsig_sig ~digest ~sender:0 ~index:0 then true
   else begin
     Charge.tsig_verify charge ~k:(Tsig.k pub);
-    let ok = Tsig.verify pub ~ctx ~signature msg in
+    let ok = Tsig.verify_prehashed pub (Crypto.Statement.prehash st) ~signature in
     if ok then
       record rt ~group:ctx ~scheme:sch_tsig_sig ~digest ~sender:0 ~index:0;
     ok
@@ -187,7 +233,7 @@ let enc_dec_share (rt : Runtime.t) ~(group : string)
     (s : Crypto.Threshold_enc.dec_share) : bool =
   let pub = rt.Runtime.keys.Dealer.enc_pub in
   let digest =
-    stmt_digest rt.Runtime.charge
+    parts_digest rt.Runtime.charge
       [ Crypto.Threshold_enc.ciphertext_to_bytes pub ct;
         string_of_int s.Crypto.Threshold_enc.origin;
         Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.u_i;
@@ -212,7 +258,7 @@ let enc_dec_share (rt : Runtime.t) ~(group : string)
 
 let coin_digest (rt : Runtime.t) ~(name : string)
     (s : Crypto.Threshold_coin.share) : string =
-  stmt_digest rt.Runtime.charge
+  parts_digest rt.Runtime.charge
     [ name;
       string_of_int s.Crypto.Threshold_coin.origin;
       Bignum.Nat.to_bytes_be s.Crypto.Threshold_coin.value;

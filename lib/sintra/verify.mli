@@ -1,23 +1,41 @@
-(** Cached and batched share/signature verification — the single seam the
-    protocol verify paths go through, so the amortization mechanisms
-    compose in one place:
+(** Cached, batched and staged share/signature verification — the single
+    seam the protocol verify paths go through, so the amortization
+    mechanisms compose in one place:
 
     - the verified-share cache ({!Config.share_cache}): a share or
       assembled signature already verified under the same
       (scheme, statement+share digest, sender, index) key is accepted for
       the price of a hash-table probe, so retransmits, replayed
       justifications and catch-up closings stop re-paying
-      exponentiations;
+      exponentiations.  It is {e charged}: a hit costs
+      {!Charge.cache_hit} where a miss costs the verification;
     - batch verification ({!Config.batch_verify}): same-statement share
       proofs are checked as one random-linear-combination equation
-      ({!Crypto.Batch}), with bisection identifying bad shares exactly.
+      ({!Crypto.Batch}), with bisection identifying bad shares exactly;
+    - staged statements ([Runtime.t.staged], {!Crypto.Statement}): each
+      [(ctx, statement)] is framed-hashed and FDH-expanded once per party
+      while its instance lives, and each RSA signature verified against it
+      once.  They are
+      {e host-only}: every call charges exactly what it charged before
+      staging existed (the key digest still pays per statement byte, a
+      certificate still pays [k] verifications), so virtual time never
+      moves; only the host stops repeating the work.
 
     Acceptance is exactly that of the reference one-at-a-time verifiers —
-    cache keys cover the share bytes, only verified shares are inserted,
-    and {!Crypto.Batch} agrees with the single verifiers item by item.
-    Only the virtual-CPU charges move.  Counters:
-    [verify.cache_hit]/[verify.cache_miss], histogram [verify.batch_size],
+    cache keys are framed digests covering the statement and the share
+    bytes, only verified shares are inserted, staged statements remember
+    only signatures that passed, and {!Crypto.Batch} agrees with the
+    single verifiers item by item.  Counters:
+    [verify.cache_hit]/[verify.cache_miss],
+    [verify.stage_hit]/[verify.stage_miss], histogram [verify.batch_size],
     gauge [verify.cache_size] (with [/max] high-water mark). *)
+
+val tsig_release :
+  ?charge:Charge.t -> ?drbg:Hashes.Drbg.t ->
+  Runtime.t -> Tsig.secret -> ctx:string -> string -> Tsig.share
+(** Charge {!Charge.tsig_release} and release this party's share on
+    [(ctx, msg)] through the staged statement.  [charge] and [drbg] default
+    to the party's protocol CPU and DRBG. *)
 
 val tsig_share :
   ?charge:Charge.t ->

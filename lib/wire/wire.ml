@@ -49,6 +49,11 @@ module Enc = struct
   let to_string (b : t) = Buffer.contents b
 end
 
+let int_size (v : int) : int =
+  if v < 0 then invalid_arg "Wire.int_size: negative";
+  let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
+  go v 1
+
 module Dec = struct
   type t = { s : string; mutable pos : int }
 

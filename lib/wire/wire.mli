@@ -41,6 +41,10 @@ module Enc : sig
   (** The accumulated wire bytes. *)
 end
 
+val int_size : int -> int
+(** The number of bytes {!Enc.int} writes for a value.
+    @raise Invalid_argument on negatives. *)
+
 module Dec : sig
   type t
 

@@ -768,6 +768,479 @@ let fallback_tests =
         ignore (run "stolen origin" (at 3 (fun sh -> { sh with Multi_sig.origin = 1 }))));
   ]
 
+
+(* --- cache keys are framed: no forgery by shifting bytes across parts ---
+
+   A cache key used to be a digest of the unframed concatenation of its
+   parts, so moving bytes across a part boundary reproduced a cached key.
+   Each case below verifies an honest item, then presents a forgery whose
+   concatenated parts equal the honest one's; the Verify seam must reject
+   it, as the one-shot verifier does. *)
+
+(* Move the first byte of [b]'s encoding to the end of [a]'s; [None] when
+   the shifted values do not encode to exactly those bytes. *)
+let shift_byte (a : Bignum.Nat.t) (b : Bignum.Nat.t)
+    : (Bignum.Nat.t * Bignum.Nat.t) option =
+  let ab = Bignum.Nat.to_bytes_be a and bb = Bignum.Nat.to_bytes_be b in
+  if String.length bb < 2 || bb.[1] = '\000' then None
+  else
+    Some
+      ( Bignum.Nat.of_bytes_be (ab ^ String.sub bb 0 1),
+        Bignum.Nat.of_bytes_be (String.sub bb 1 (String.length bb - 1)) )
+
+let forgery_tests =
+  [
+    Alcotest.test_case "shifted closing: a cached closing key is not reusable"
+      `Quick (fun () ->
+        let c = Util.cluster ~seed:"forge-closing" ~tsig_scheme:Config.Multi () in
+        let rt = Cluster.runtime c 0 in
+        let pid = "forge-cbc" in
+        let sec = rt.Runtime.keys.Dealer.bc_tsig in
+        let pub = Tsig.public_of_secret sec in
+        let stmt = Consistent_broadcast.statement ~pid "hello" in
+        let shares =
+          List.init 3 (fun i ->
+            let r = Cluster.runtime c i in
+            Tsig.release ~drbg:r.Runtime.drbg r.Runtime.keys.Dealer.bc_tsig
+              ~ctx:pid stmt)
+        in
+        let signature = Tsig.assemble pub ~ctx:pid stmt shares in
+        let closing payload signature =
+          Wire.encode (fun b -> Wire.Enc.bytes b payload; Wire.Enc.bytes b signature)
+        in
+        Alcotest.(check bool) "honest closing" true
+          (Consistent_broadcast.closing_valid rt ~pid (closing "hello" signature));
+        (* An assembled multi-signature starts with its count, "0003". *)
+        Alcotest.(check char) "signature starts with '0'" '0' signature.[0];
+        let forged = String.sub signature 1 (String.length signature - 1) in
+        Alcotest.(check bool) "one-shot verifier rejects the forgery" false
+          (Tsig.verify pub ~ctx:pid ~signature:forged
+             (Consistent_broadcast.statement ~pid "hello0"));
+        Alcotest.(check bool) "shifted closing rejected" false
+          (Consistent_broadcast.closing_valid rt ~pid (closing "hello0" forged)));
+
+    Alcotest.test_case "shifted coin share: a cached share key is not reusable"
+      `Quick (fun () ->
+        let c = Util.cluster ~seed:"forge-coin" () in
+        let rt = Cluster.runtime c 0 and r1 = Cluster.runtime c 1 in
+        let pub = rt.Runtime.keys.Dealer.coin_pub in
+        let rec pick i =
+          let name = Printf.sprintf "forge-coin-%d" i in
+          let s =
+            Threshold_coin.release ~drbg:r1.Runtime.drbg pub
+              r1.Runtime.keys.Dealer.coin_share ~name
+          in
+          match
+            shift_byte s.Threshold_coin.value s.Threshold_coin.proof.Dleq.a1
+          with
+          | Some (value, a1) ->
+            (name, s,
+             { s with
+               Threshold_coin.value;
+               proof = { s.Threshold_coin.proof with Dleq.a1 } })
+          | None -> pick (i + 1)
+        in
+        let name, honest, forged = pick 0 in
+        Alcotest.(check bool) "honest share" true
+          (Verify.coin_share rt ~group:"forge" ~name honest);
+        Alcotest.(check bool) "one-shot verifier rejects the forgery" false
+          (Threshold_coin.verify_share pub ~name forged);
+        Alcotest.(check bool) "shifted coin share rejected" false
+          (Verify.coin_share rt ~group:"forge" ~name forged));
+
+    Alcotest.test_case
+      "shifted decryption share: a cached share key is not reusable" `Quick
+      (fun () ->
+        let c = Util.cluster ~seed:"forge-dec" () in
+        let rt = Cluster.runtime c 0 and r1 = Cluster.runtime c 1 in
+        let pub = rt.Runtime.keys.Dealer.enc_pub in
+        let rec pick i =
+          let ct =
+            Threshold_enc.encrypt ~drbg:r1.Runtime.drbg pub
+              ~label:(Printf.sprintf "forge-%d" i) "plaintext"
+          in
+          match
+            Threshold_enc.dec_share ~drbg:r1.Runtime.drbg pub
+              r1.Runtime.keys.Dealer.enc_share ct
+          with
+          | None -> Alcotest.fail "honest ciphertext refused"
+          | Some s ->
+            (match
+               shift_byte s.Threshold_enc.u_i s.Threshold_enc.proof.Dleq.a1
+             with
+             | Some (u_i, a1) ->
+               (ct, s,
+                { s with
+                  Threshold_enc.u_i;
+                  proof = { s.Threshold_enc.proof with Dleq.a1 } })
+             | None -> pick (i + 1))
+        in
+        let ct, honest, forged = pick 0 in
+        Alcotest.(check bool) "honest share" true
+          (Verify.enc_dec_share rt ~group:"forge" ~ct honest);
+        Alcotest.(check bool) "one-shot verifier rejects the forgery" false
+          (Threshold_enc.verify_dec_share pub ct forged);
+        Alcotest.(check bool) "shifted decryption share rejected" false
+          (Verify.enc_dec_share rt ~group:"forge" ~ct forged));
+  ]
+
+(* --- staged statements accept exactly what the one-shot verifiers do --- *)
+
+let flip_byte (s : string) (i : int) : string =
+  let b = Bytes.of_string s in
+  let i = i mod Bytes.length b in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+  Bytes.to_string b
+
+(* The assembled multi-signature framing ([Multi_sig.assemble]'s), for
+   certificates [assemble] refuses to build: short or with a duplicate. *)
+let encode_multi (l : Tsig.share list) : string =
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf (Printf.sprintf "%04d" (List.length l));
+  List.iter
+    (function
+      | Tsig.Multi_share m ->
+        Buffer.add_string buf
+          (Printf.sprintf "%04d%08d" m.Multi_sig.origin
+             (String.length m.Multi_sig.signature));
+        Buffer.add_string buf m.Multi_sig.signature
+      | Tsig.Shoup_share _ -> ())
+    l;
+  Buffer.contents buf
+
+(* A random sequence of share and certificate checks through one party's
+   Verify seam (its staged statements and share cache persist across the
+   sequence), each compared with the one-shot verifier.  Operation
+   [(kind, s, x)] works on statement [s mod 3] (two contexts); the kinds
+   cover honest items, flipped bytes, components verified before under
+   another statement or another key, duplicate origins and certificates one
+   component short. *)
+let staged_equivalence (scheme : Config.tsig_scheme)
+    (ops : (int * int * int) list) : bool =
+  let c = Util.cluster ~seed:"staged-eq" ~tsig_scheme:scheme () in
+  let rt = Cluster.runtime c 0 in
+  let pub = Tsig.public_of_secret rt.Runtime.keys.Dealer.bc_tsig in
+  let k = Tsig.k pub in
+  let stmts = [| ("staged-a", "m0"); ("staged-a", "m1"); ("staged-b", "m0") |] in
+  let shares =
+    Array.map
+      (fun (ctx, msg) ->
+        Array.init 4 (fun i ->
+          let r = Cluster.runtime c i in
+          Tsig.release ~drbg:r.Runtime.drbg r.Runtime.keys.Dealer.bc_tsig ~ctx
+            msg))
+      stmts
+  in
+  let relabel (sh : Tsig.share) : Tsig.share =
+    let o = (Tsig.share_origin sh mod 4) + 1 in
+    match sh with
+    | Tsig.Multi_share m -> Tsig.Multi_share { m with Multi_sig.origin = o }
+    | Tsig.Shoup_share m -> Tsig.Shoup_share { m with Threshold_sig.origin = o }
+  in
+  let flip (sh : Tsig.share) (x : int) : Tsig.share =
+    match sh with
+    | Tsig.Multi_share m ->
+      Tsig.Multi_share
+        { m with Multi_sig.signature = flip_byte m.Multi_sig.signature x }
+    | Tsig.Shoup_share m ->
+      Tsig.Shoup_share
+        { m with Threshold_sig.x_i = Bignum.Nat.add m.Threshold_sig.x_i Bignum.Nat.one }
+  in
+  List.for_all
+    (fun (kind, s, x) ->
+      let s = s mod 3 in
+      let ctx, msg = stmts.(s) in
+      let mine = shares.(s) and other = shares.((s + 1) mod 3) in
+      let honest = Array.to_list mine in
+      let share_case sh =
+        Verify.tsig_share rt ~pub ~ctx msg sh = Tsig.verify_share pub ~ctx msg sh
+      in
+      let sig_case signature =
+        Verify.tsig_signature rt ~pub ~ctx ~signature msg
+        = Tsig.verify pub ~ctx ~signature msg
+      in
+      (* [assemble] keeps the first k distinct origins of its list. *)
+      let cert l = sig_case (Tsig.assemble pub ~ctx msg l) in
+      let sh = mine.(x mod 4) in
+      match kind mod 10, scheme with
+      | 0, _ -> share_case sh
+      | 1, _ -> share_case (flip sh x)
+      | 2, _ -> share_case other.(x mod 4)
+      | 3, _ -> share_case (relabel sh)
+      | 4, _ -> cert honest
+      | 5, Config.Multi -> sig_case (encode_multi (List.filteri (fun i _ -> i < k - 1) honest))
+      | 5, Config.Shoup ->
+        let sg = Tsig.assemble pub ~ctx msg honest in
+        sig_case (String.sub sg 0 (String.length sg - 1))
+      | 6, Config.Multi ->
+        sig_case (encode_multi (List.hd honest :: List.filteri (fun i _ -> i < k - 1) honest))
+      | 6, Config.Shoup ->
+        (* a certificate that passed under another statement *)
+        let octx, omsg = stmts.((s + 1) mod 3) in
+        sig_case (Tsig.assemble pub ~ctx:octx omsg (Array.to_list other))
+      | 7, _ -> cert (other.(x mod 4) :: honest)
+      | 8, _ -> cert (relabel sh :: honest)
+      | _ -> sig_case (flip_byte (Tsig.assemble pub ~ctx msg honest) (x + 4)))
+    ops
+
+let ops_arb =
+  QCheck.(list_of_size (Gen.int_range 1 40) (triple small_nat small_nat small_nat))
+
+(* Mirrors the INIT wire format and signed statement of atomic_channel.ml
+   (an entry is the signer, the (origin, seq, payload) items and the
+   signature; the statement binds pid, round, signer and the items'
+   encoding), to hand-craft INIT vectors. *)
+let enc_items (items : (int * int * string) list) : string =
+  Wire.encode (fun b ->
+    Wire.Enc.list b
+      (fun b (o, q, p) -> Wire.Enc.int b o; Wire.Enc.int b q; Wire.Enc.bytes b p)
+      items)
+
+let sign_init (c : Cluster.t) ~(pid : string) ~(round : int) ~(signer : int)
+    (items : (int * int * string) list) : string =
+  let stmt =
+    Printf.sprintf "abc-init|%s|%d|%d|%s" pid round signer
+      (Hashes.Sha256.digest (enc_items items))
+  in
+  Rsa.sign (Cluster.runtime c signer).Runtime.keys.Dealer.sign_sk ~ctx:pid stmt
+
+let enc_entry (b : Wire.Enc.t) (signer, items, signature) : unit =
+  Wire.Enc.int b signer;
+  Wire.Enc.list b
+    (fun b (o, q, p) -> Wire.Enc.int b o; Wire.Enc.int b q; Wire.Enc.bytes b p)
+    items;
+  Wire.Enc.bytes b signature
+
+let staged_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:25
+         ~name:"staged = one-shot verification (multi-signatures)" ops_arb
+         (staged_equivalence Config.Multi));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:6
+         ~name:"staged = one-shot verification (Shoup)" ops_arb
+         (staged_equivalence Config.Shoup));
+
+    Alcotest.test_case "Rsa.verify_prehashed = Rsa.verify after passes"
+      `Quick (fun () ->
+        let keys =
+          Array.init 2 (fun i ->
+            Rsa.keygen ~drbg:(Hashes.Drbg.fork drbg (Printf.sprintf "rsa-%d" i))
+              ~bits:256 ())
+        in
+        let ph = Rsa.prehash ~ctx:"c" "m" in
+        let s0 = Rsa.sign keys.(0) ~ctx:"c" "m" in
+        let check pk signature =
+          Alcotest.(check bool) "staged = one-shot"
+            (Rsa.verify pk ~ctx:"c" ~signature "m")
+            (Rsa.verify_prehashed pk ph ~signature)
+        in
+        let pk0 = keys.(0).Rsa.pub and pk1 = keys.(1).Rsa.pub in
+        check pk0 s0;
+        (* the same signature under another key, after it passed *)
+        check pk1 s0;
+        check pk0 (flip_byte s0 3);
+        check pk0 s0;
+        Alcotest.(check string) "sign_prehashed = sign" s0
+          (Rsa.sign_prehashed keys.(0) (Rsa.prehash ~ctx:"c" "m")));
+
+    Alcotest.test_case
+      "INIT reuse: only an entry equal to the pooled one is reused" `Quick
+      (fun () ->
+        let c = Util.cluster ~seed:"init-reuse" () in
+        let pid = "abc-reuse" in
+        let rt = Cluster.runtime c 0 in
+        let ch = Atomic_channel.create rt ~pid ~on_deliver:(fun ~sender:_ _ -> ()) () in
+        let items1 = [ (1, 0, "\x01one") ] in
+        let sig1 = sign_init c ~pid ~round:0 ~signer:1 items1 in
+        (* Signer 1's INIT for round 0 enters party 0's pool. *)
+        let handler = Hashtbl.find rt.Runtime.handlers pid in
+        handler ~src:1
+          (Wire.encode (fun b ->
+             Wire.Enc.u8 b 0;
+             Wire.Enc.int b 0;
+             enc_entry b (1, items1, sig1)));
+        let items2 = [ (2, 0, "\x01two") ] in
+        let e2 = (2, items2, sign_init c ~pid ~round:0 ~signer:2 items2) in
+        let batch entries =
+          Wire.encode (fun b -> Wire.Enc.list b enc_entry entries)
+        in
+        let counter name =
+          let m = Trace.Ctx.metrics rt.Runtime.trace in
+          match Trace.Metrics.find_counter m ("p0/" ^ name) with
+          | Some x -> Trace.Metrics.value x
+          | None -> 0.0
+        in
+        (* The pooled signature over different items: a one-shot check
+           rejects it, so the batch must not be adopted. *)
+        let other = [ (1, 0, "\x01ONE") ] in
+        let stmt_other =
+          Printf.sprintf "abc-init|%s|%d|%d|%s" pid 0 1
+            (Hashes.Sha256.digest (enc_items other))
+        in
+        Alcotest.(check bool) "one-shot rejects" false
+          (Rsa.verify rt.Runtime.keys.Dealer.sign_pks.(1) ~ctx:pid ~signature:sig1
+             stmt_other);
+        Atomic_channel.adopt_round ch ~round:0 ~batch:(batch [ (1, other, sig1); e2 ]);
+        Alcotest.(check int) "forged batch not adopted" 0
+          (Atomic_channel.current_round ch);
+        (* The pooled items under a different signature: rejected too. *)
+        Atomic_channel.adopt_round ch ~round:0
+          ~batch:(batch [ (1, items1, flip_byte sig1 5); e2 ]);
+        Alcotest.(check int) "re-signed batch not adopted" 0
+          (Atomic_channel.current_round ch);
+        let reused = counter "abc.init_reused" in
+        (* The pooled entry itself is reused, without a second check. *)
+        Atomic_channel.adopt_round ch ~round:0 ~batch:(batch [ (1, items1, sig1); e2 ]);
+        Alcotest.(check int) "honest batch adopted" 1 (Atomic_channel.current_round ch);
+        Alcotest.(check (float 0.0)) "pooled entry reused" (reused +. 1.0)
+          (counter "abc.init_reused"));
+
+    Alcotest.test_case
+      "staged state does not survive unregister or crash" `Quick (fun () ->
+        let c = Util.cluster ~seed:"staged-gc" ~tsig_scheme:Config.Multi () in
+        let rt = Cluster.runtime c 0 in
+        let sec = rt.Runtime.keys.Dealer.bc_tsig in
+        let pub = Tsig.public_of_secret sec in
+        let pid = "staged-pid" and stmt = "staged-stmt" in
+        let counter name =
+          let m = Trace.Ctx.metrics rt.Runtime.trace in
+          match Trace.Metrics.find_counter m ("p0/" ^ name) with
+          | Some x -> Trace.Metrics.value x
+          | None -> 0.0
+        in
+        let shares =
+          List.init 3 (fun i ->
+            let r = Cluster.runtime c i in
+            Tsig.release ~drbg:r.Runtime.drbg r.Runtime.keys.Dealer.bc_tsig ~ctx:pid stmt)
+        in
+        let signature = Tsig.assemble pub ~ctx:pid stmt shares in
+        let replay what =
+          let misses = counter "verify.stage_miss" in
+          let cache_misses = counter "verify.cache_miss" in
+          Alcotest.(check bool) (what ^ ": share") true
+            (Verify.tsig_share rt ~pub ~ctx:pid stmt (List.hd shares));
+          Alcotest.(check bool) (what ^ ": certificate") true
+            (Verify.tsig_signature rt ~pub ~ctx:pid ~signature stmt);
+          (misses, cache_misses)
+        in
+        Runtime.register rt ~pid (fun ~src:_ _ -> ());
+        ignore (replay "first");
+        Alcotest.(check int) "staged" 1 (Crypto.Statement.size rt.Runtime.staged);
+        let misses, _ = replay "repeat" in
+        Alcotest.(check (float 0.0)) "repeat is a stage hit" misses
+          (counter "verify.stage_miss");
+        Runtime.unregister rt ~pid;
+        Alcotest.(check int) "unregister evicts" 0
+          (Crypto.Statement.size rt.Runtime.staged);
+        let misses, cache_misses = replay "after unregister" in
+        Alcotest.(check (float 0.0)) "re-staged after unregister" (misses +. 1.0)
+          (counter "verify.stage_miss");
+        Alcotest.(check (float 0.0)) "re-verified after unregister"
+          (cache_misses +. 2.0) (counter "verify.cache_miss");
+        Runtime.crash rt;
+        Alcotest.(check int) "crash clears" 0
+          (Crypto.Statement.size rt.Runtime.staged);
+        let misses, cache_misses = replay "after crash" in
+        Alcotest.(check (float 0.0)) "re-staged after crash" (misses +. 1.0)
+          (counter "verify.stage_miss");
+        Alcotest.(check (float 0.0)) "re-verified after crash"
+          (cache_misses +. 2.0) (counter "verify.cache_miss"));
+
+    Alcotest.test_case "statement table: FIFO bound and group eviction" `Quick
+      (fun () ->
+        let t = Crypto.Statement.table ~cap:4 in
+        for i = 1 to 40 do
+          let ctx = Printf.sprintf "g%d" (i mod 3) in
+          ignore (Crypto.Statement.stage t ~ctx (string_of_int i));
+          if i mod 7 = 0 then Crypto.Statement.evict_group t "g1";
+          if Crypto.Statement.size t > 4 then
+            Alcotest.failf "table exceeded its capacity at %d" i
+        done;
+        let _, hit = Crypto.Statement.stage t ~ctx:"g1" "40" in
+        Alcotest.(check bool) "live statement is a hit" true hit;
+        let _, hit = Crypto.Statement.stage t ~ctx:"g0" "3" in
+        Alcotest.(check bool) "evicted statement is staged again" false hit;
+        Crypto.Statement.clear t;
+        Alcotest.(check int) "cleared" 0 (Crypto.Statement.size t));
+  ]
+
+(* --- "once per party", pinned on a real run ---
+
+   An n=4 atomic channel under load, traced: every host RSA verification of
+   an INIT entry and every staging of a statement leaves an instant.  No
+   (party, round, signer) entry may be verified twice and no
+   (party, ctx, statement) staged twice; the counters must show the reuse
+   paths engaged. *)
+let once_tests =
+  [
+    Alcotest.test_case "n=4 atomic channel: INIT entries and statements once per party"
+      `Quick (fun () ->
+        let c =
+          Util.cluster ~seed:"once" ~tsig_scheme:Config.Multi ~max_batch:16 ()
+        in
+        let events = ref [] in
+        Cluster.set_sink c (Trace.Sink.Fn (fun e -> events := e :: !events));
+        let chans =
+          Array.init 4 (fun p ->
+            Atomic_channel.create (Cluster.runtime c p) ~pid:"once"
+              ~on_deliver:(fun ~sender:_ _ -> ()) ())
+        in
+        Array.iteri
+          (fun p ch ->
+            for i = 0 to 5 do
+              Atomic_channel.send ch (Printf.sprintf "p%d-%d" p i)
+            done)
+          chans;
+        ignore (Cluster.run c ~until:60.0);
+        Array.iter
+          (fun ch ->
+            Alcotest.(check int) "all delivered" 24 (Atomic_channel.deliveries ch))
+          chans;
+        let seen = Hashtbl.create 256 in
+        let str_arg (e : Trace.Event.t) k =
+          match List.assoc_opt k e.Trace.Event.args with
+          | Some (Trace.Event.Str s) -> s
+          | Some (Trace.Event.Int i) -> string_of_int i
+          | Some _ | None -> "?"
+        in
+        let cbc = ref 0 and inits = ref 0 in
+        List.iter
+          (fun (e : Trace.Event.t) ->
+            let key =
+              match e.Trace.Event.name, e.Trace.Event.cat with
+              | "init_verify", "abc" ->
+                incr inits;
+                Some (Printf.sprintf "init %d %s %s" e.Trace.Event.party
+                        (str_arg e "round") (str_arg e "signer"))
+              | "stage", "verify" ->
+                (* CBC instances of the MVBA are "<pid>/mv.<r>/p.<i>" *)
+                if List.exists (String.equal "p")
+                     (String.split_on_char '/' e.Trace.Event.pid
+                      |> List.concat_map (String.split_on_char '.'))
+                then incr cbc;
+                Some (Printf.sprintf "stage %d %s %s" e.Trace.Event.party
+                        e.Trace.Event.pid (str_arg e "stmt"))
+              | _ -> None
+            in
+            match key with
+            | Some k ->
+              if Hashtbl.mem seen k then Alcotest.failf "done twice: %s" k;
+              Hashtbl.replace seen k ()
+            | None -> ())
+          !events;
+        if !inits = 0 || !cbc = 0 then
+          Alcotest.fail "no INIT verification or staging was traced";
+        for p = 0 to 3 do
+          let v name = counter_value c p name in
+          if v "abc.init_reused" < 1.0 then
+            Alcotest.failf "party %d never reused a pooled INIT entry" p;
+          if v "verify.stage_hit" < 1.0 then
+            Alcotest.failf "party %d never reused a staged statement" p
+        done);
+  ]
+
 let suite =
   equivalence_tests @ cache_tests @ determinism_tests @ cost_tests
-  @ pregen_tests @ fallback_tests
+  @ pregen_tests @ fallback_tests @ forgery_tests @ staged_tests @ once_tests

@@ -317,12 +317,48 @@ let test_cache_key_digest () =
     "let remember t msg =\n\
      \  Crypto.Share_cache.add t.cache ~group:t.pid ~scheme:\"s\"\n\
      \    ~digest:msg ~sender:1 ~index:1\n";
-  (* punned ~digest let-bound from a digest: clean *)
+  (* punned ~digest let-bound from a framed digest: clean *)
   expect_silent ~rule "lib/sintra/proto.ml"
+    "let remember t msg =\n\
+     \  let digest = Hashes.Sha256.digest_framed [ t.pid; msg ] in\n\
+     \  Crypto.Share_cache.add t.cache ~group:t.pid ~scheme:\"s\" ~digest\n\
+     \    ~sender:1 ~index:1\n";
+  (* ...but from a digest of unframed parts: fires (bytes can shift across
+     the pid/msg boundary into a cached key) *)
+  expect_fires ~rule "lib/sintra/proto.ml"
     "let remember t msg =\n\
      \  let digest = Hashes.Sha256.digest_list [ t.pid; msg ] in\n\
      \  Crypto.Share_cache.add t.cache ~group:t.pid ~scheme:\"s\" ~digest\n\
      \    ~sender:1 ~index:1\n";
+  expect_fires ~rule "lib/sintra/proto.ml"
+    "let remember t msg =\n\
+     \  Crypto.Share_cache.add t.cache ~group:t.pid ~scheme:\"s\"\n\
+     \    ~digest:(Hashes.Sha256.digest_list [ t.pid; msg ]) ~sender:1 ~index:1\n";
+  (* a one-element digest_list is a plain digest: clean *)
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "let remember t msg =\n\
+     \  Crypto.Share_cache.add t.cache ~group:t.pid ~scheme:\"s\"\n\
+     \    ~digest:(Hashes.Sha256.digest_list [ msg ]) ~sender:1 ~index:1\n";
+  (* a key helper digesting unframed parts fires in an inserting file,
+     whether the parts are a literal or a list variable *)
+  expect_fires ~rule "lib/sintra/proto.ml"
+    "let stmt_digest parts = Hashes.Sha256.digest_list parts\n\
+     let remember t msg =\n\
+     \  Crypto.Share_cache.add t.cache ~group:t.pid ~scheme:\"s\"\n\
+     \    ~digest:(stmt_digest [ t.pid; msg ]) ~sender:1 ~index:1\n";
+  expect_fires ~rule "lib/sintra/proto.ml"
+    "let coin_digest name v = Hashes.Sha256.digest_list [ name; v ]\n\
+     let remember t name v =\n\
+     \  Crypto.Share_cache.add t.cache ~group:t.pid ~scheme:\"s\"\n\
+     \    ~digest:(coin_digest name v) ~sender:1 ~index:1\n";
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "let stmt_digest parts = Hashes.Sha256.digest_framed parts\n\
+     let remember t msg =\n\
+     \  Crypto.Share_cache.add t.cache ~group:t.pid ~scheme:\"s\"\n\
+     \    ~digest:(stmt_digest [ t.pid; msg ]) ~sender:1 ~index:1\n";
+  (* ...but a file that inserts nothing is not a key producer *)
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "let digest t payload = Hashes.Sha256.digest_list [ t.pid; payload ]\n";
   (* punned ~digest let-bound from raw bytes: fires *)
   expect_fires ~rule "lib/sintra/proto.ml"
     "let remember t msg =\n\
